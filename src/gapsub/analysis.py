@@ -32,9 +32,9 @@ from .core import (
     InputError,
     Word,
     constraint_dfa,
-    constraint_window,
     normalize_constraints,
 )
+from .matchers import GapStep, position_masks
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -50,72 +50,23 @@ class _WordFrontier:
     """Frontier arithmetic for one word under normalized constraints."""
 
     def __init__(self, syms: tuple[int, ...], gc: tuple[GapConstraint, ...], sigma: int):
-        self.syms = syms
-        self.n = n = len(syms)
-        self.gc = gc
-        self.full = ((1 << (n + 1)) - 1) & ~1
-        self.posmask = [0] * (sigma + 1)
-        for i, a in enumerate(syms, start=1):
-            self.posmask[a] |= 1 << i
-        self.windows = [constraint_window(c, n) for c in gc]
-        self.dfas = [constraint_dfa(c) for c in gc]
-        for d in self.dfas:
+        n = len(syms)
+        masks = position_masks(syms, range(1, sigma + 1))
+        self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
+        for c in gc:
+            d = constraint_dfa(c)
             if d is not None and d.num_symbols < sigma:
                 raise InputError("constraint DFA does not cover the alphabet")
-        self.dead = any(lo > n for lo, _ in self.windows)
-        self._rows: dict[tuple[int, int], int] = {}
-
-    def _dfa_row(self, t: int, j: int) -> int:
-        """Positions that can host the next symbol after a gap from j under gc[t]."""
-        key = (t, j)
-        row = self._rows.get(key)
-        if row is not None:
-            return row
-        lo, hi = self.windows[t]
-        dfa = self.dfas[t]
-        table, finals, q = dfa.table, dfa.finals, dfa.initial
-        row = 0
-        if lo == 0 and q in finals:
-            row |= 1 << (j + 1)
-        for e in range(j + 1, self.n + 1):
-            glen = e - j
-            if glen > hi:
-                break
-            q = table[q][self.syms[e - 1] - 1]
-            if glen >= lo and q in finals:
-                row |= 1 << (e + 1)
-        row &= self.full
-        self._rows[key] = row
-        return row
+        self.steps = [GapStep(syms, c) for c in gc]
+        self.dead = any(step.lo > n for step in self.steps)
 
     def spread(self, frontier: int, t: int) -> int:
         """All positions reachable from the frontier across gap t (before the
         next symbol's position filter)."""
-        if frontier == 0:
-            return 0
-        lo, hi = self.windows[t]
-        if self.dfas[t] is None:
-            x = frontier << (1 + lo)
-            covered = 0
-            span = hi - lo
-            while covered < span:
-                d = min(covered + 1, span - covered)
-                x |= x << d
-                covered += d
-            return x & self.full
-        out = 0
-        f = frontier
-        while f:
-            b = f & -f
-            out |= self._dfa_row(t, b.bit_length() - 1)
-            f ^= b
-        return out
+        return self.steps[t].reach(frontier)
 
     def start(self, a: int) -> int:
         return 0 if self.dead else self.posmask[a]
-
-    def extend(self, frontier: int, t: int, a: int) -> int:
-        return self.spread(frontier, t) & self.posmask[a]
 
 
 def _check_budget(sigma: int, k: int, budget: int) -> None:

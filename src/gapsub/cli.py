@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc as _gc  # bare 'gc' names constraint tuples in this module
 import os
 import random
 import statistics
@@ -461,16 +462,17 @@ def bench_instance(
 ) -> tuple[Word, GappedSequence]:
     """Seeded instance built to match, so every gap step does real work.
 
-    Pattern and constraints depend only on (seed, k, states): sizes in a
-    sweep share one instance shape and differ just in the word, keeping
-    timing ratios free of shape-to-shape variance.
+    algo names the constraint class of the gaps: length, regular or
+    reglen.  Pattern and constraints depend only on (seed, k, states):
+    sizes in a sweep share one instance shape and differ just in the word,
+    keeping timing ratios free of shape-to-shape variance.
     """
     sigma = 2
     shape = random.Random(f"shape:{seed}:{k}:{states}:{algo}")
     p = tuple(shape.randint(1, sigma) for _ in range(k))
     cons: list[GapConstraint] = []
     for _ in range(k - 1):
-        if algo in ("length", "naive"):
+        if algo == "length":
             cons.append(LengthGap(0, INF))
         elif algo == "regular":
             cons.append(RegularGap(_bench_dfa(states, sigma, shape)))
@@ -489,31 +491,41 @@ def bench_match(
     states: int = 2,
     seed: int = 0,
 ) -> list[dict]:
-    """Median wall time of one matcher over seeded instances per size.
+    """Median wall time of match over seeded instances per size.
 
-    The column is named mean_ns for format stability; the value recorded
-    is the median over the trials.
+    algo picks the constraint class of the instance (see bench_instance).
+    Each size gets one untimed warm-up call.  The timed calls run with the
+    garbage collector off and round-robin over the sizes, so a slow or fast
+    spell of the host falls on every size alike instead of skewing the
+    ratios between sizes.  The column is named mean_ns for format
+    stability; the value recorded is the median over the trials.
     """
-    rows = []
-    for n in sizes:
-        w, gs = bench_instance(n, k, states, algo, seed)
-        samples = []
+    instances = [bench_instance(n, k, states, algo, seed) for n in sizes]
+    for w, gs in instances:
+        if match(w, gs) is None:
+            raise GapsubError("benchmark instance unexpectedly failed to match")
+    samples: list[list[int]] = [[] for _ in instances]
+    enabled = _gc.isenabled()
+    _gc.disable()
+    try:
         for _ in range(trials):
-            t0 = time.perf_counter_ns()
-            got = match(w, gs, algo=algo)
-            samples.append(time.perf_counter_ns() - t0)
-            if got is None:
-                raise GapsubError("benchmark instance unexpectedly failed to match")
-        rows.append(
-            {
-                "algo": algo,
-                "n": n,
-                "k": k,
-                "states": gs.states,
-                "mean_ns": int(statistics.median(samples)),
-            }
-        )
-    return rows
+            for (w, gs), times in zip(instances, samples):
+                t0 = time.perf_counter_ns()
+                match(w, gs)
+                times.append(time.perf_counter_ns() - t0)
+    finally:
+        if enabled:
+            _gc.enable()
+    return [
+        {
+            "algo": algo,
+            "n": n,
+            "k": k,
+            "states": gs.states,
+            "mean_ns": int(statistics.median(times)),
+        }
+        for n, (_w, gs), times in zip(sizes, instances, samples)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +557,6 @@ def _cmd_match(args) -> int:
     _check_dfa_alphabet(gc, alphabet)
     gs = GappedSequence(p, gc)
     if args.eq is not None:
-        if args.algo != "auto":
-            raise InputError("--algo cannot be combined with --eq")
         try:
             with open(args.eq, "r", encoding="ascii") as fh:
                 eq = parse_eq_text(fh.read())
@@ -554,7 +564,7 @@ def _cmd_match(args) -> int:
             raise InputError(f"cannot read equality file {args.eq}: {exc}") from None
         got = match_with_equalities(w, gs, eq)
     else:
-        got = match(w, gs, algo=args.algo)
+        got = match(w, gs)
     if got is None:
         print("match: no")
         return 1
@@ -729,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="decide whether the pattern embeds in the word")
     word_flags(p, pattern=True)
     p.add_argument("-c", "--constraints", required=True, help="constraint file")
-    p.add_argument(
-        "--algo",
-        default="auto",
-        choices=["auto", "naive", "length", "regular", "reglen"],
-    )
     p.add_argument("--witness", action="store_true", help="print embedding positions")
     p.add_argument("--eq", help="equality file: gaps forced to equal lengths")
     p.set_defaults(fn=_cmd_match)
@@ -775,8 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="kis: independent set size")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("bench", help="time a matcher on seeded instances")
-    p.add_argument("--algo", default="reglen", choices=["naive", "length", "regular", "reglen"])
+    p = sub.add_parser("bench", help="time match on seeded instances")
+    p.add_argument(
+        "--algo",
+        default="reglen",
+        choices=["length", "regular", "reglen"],
+        help="constraint class of the instance gaps",
+    )
     p.add_argument("--sizes", required=True, help="comma-separated word lengths")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--k", type=int, default=3, help="pattern length")
@@ -803,3 +813,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -91,9 +91,13 @@ class Word:
     def __post_init__(self) -> None:
         syms = tuple(self.symbols)
         object.__setattr__(self, "symbols", syms)
-        for s in syms:
-            if not isinstance(s, int) or s < 1:
-                raise InputError(f"symbol ids must be positive integers, got {s!r}")
+        # the per-symbol loop runs only to name the offender: long words are
+        # checked by C-level passes over the symbol types and the minimum
+        kinds = set(map(type, syms))
+        if any(t is bool or not issubclass(t, int) for t in kinds) or min(syms, default=1) < 1:
+            for s in syms:
+                if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+                    raise InputError(f"symbol ids must be positive integers, got {s!r}")
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "Word":
@@ -132,6 +136,18 @@ class LengthGap:
             raise InputError("gap upper bound must be an int >= lo, or INF")
 
 
+# what matching, counting and analysis read off a constraint's DFA
+_DFA_ATTRIBUTES = ("num_states", "num_symbols", "initial", "finals", "table", "run")
+
+
+def _check_dfa(dfa: object, kind: str) -> None:
+    missing = [a for a in _DFA_ATTRIBUTES if not hasattr(dfa, a)]
+    if missing:
+        raise InputError(
+            f"{kind} constraint needs a DFA; {type(dfa).__name__} lacks {', '.join(missing)}"
+        )
+
+
 @dataclass(frozen=True)
 class RegularGap:
     """Gap must belong to the language of a complete DFA."""
@@ -139,8 +155,7 @@ class RegularGap:
     dfa: object
 
     def __post_init__(self) -> None:
-        if not hasattr(self.dfa, "run"):
-            raise InputError("regular constraint needs a DFA with a run method")
+        _check_dfa(self.dfa, "regular")
 
 
 @dataclass(frozen=True)
@@ -156,8 +171,7 @@ class RegLenGap:
             raise InputError("gap lower bound must be nonnegative")
         if self.hi != INF and (not isinstance(self.hi, int) or self.hi < self.lo):
             raise InputError("gap upper bound must be an int >= lo, or INF")
-        if not hasattr(self.dfa, "run"):
-            raise InputError("reg-len constraint needs a DFA with a run method")
+        _check_dfa(self.dfa, "reg-len")
 
 
 GapConstraint = Union[ZeroGap, LengthGap, RegularGap, RegLenGap]

@@ -1,34 +1,46 @@
-"""Decision procedures for embedding a gapped sequence in a word.
+"""Decision procedure for embedding a gapped sequence in a word.
 
-All matchers answer the same question, does the pattern embed in the word
-with every gap constraint satisfied, and return a witness embedding or
-None.  match_naive is the reference implementation the others are tested
-against.  The specialised matchers share a skeleton: split the pattern
-into blocks at its non-zero constraints, locate block occurrences with a
-prefix-function scan, then carry a dynamic-programming frontier of block
-end positions across the gaps.  They differ only in the gap step:
+match answers whether the pattern embeds in the word with every gap
+constraint satisfied, and returns a witness embedding or None.  It is one
+left-to-right dynamic programme over bitmasks of word positions (bit i is
+position i, 1-based).  The pattern is split into blocks at its non-zero
+constraints; a block's end positions are one shifted AND of per-symbol
+position masks.  D[t], the ends of block t reachable with every earlier
+gap satisfied, follows from D[t-1] through one gap step:
 
-- match_length   sliding window over sorted end positions, O(n) per gap
-- match_regular  per-state earliest-start sweep, O(n states) per gap
-- match_reglen   trace forests with level-ancestor jumps and window
-                 marking, O(n states log n) per gap
+    D[t] = (step.reach(D[t-1]) << (len(block t) - 1)) & ends(block t)
 
+A GapStep is built once per (word, constraint) and picks its case from
+the constraint alone:
+
+- zero or length window   shift plus a doubling or-spread
+- DFA, vacuous window     one sweep over sets of DFA states, with subset
+                          images memoised per symbol, O(n) per gap
+- DFA with a real window  one sweep of merged DFA traces, giving each
+                          start's state after lo symbols, and per state
+                          the latest such entry, O(n states) per gap
+
+The witness is canonical: the leftmost end of the last block, then for
+each gap, right to left, the least feasible predecessor (a masked lowest
+bit for length windows, a backward preimage sweep over the window for
+DFA gaps).  This is exactly the embedding match_naive returns.
+
+match_naive is the reference implementation match is tested against: a
+per-symbol DP that streams the constraint DFA from every start.  The
+analyses in analysis.py spread their frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .automata import sigma_star_dfa
 from .core import (
     Embedding,
     GappedSequence,
     InputError,
     LengthGap,
-    RegularGap,
     UsageError,
     Word,
     ZeroGap,
@@ -64,29 +76,6 @@ def pattern_blocks(gs: GappedSequence) -> tuple[list[tuple[int, ...]], list]:
     return blocks, joints
 
 
-def _end_positions(text: tuple[int, ...], block: tuple[int, ...]) -> list[int]:
-    """Positions (1-based, ascending) where an occurrence of block ends in text."""
-    m = len(block)
-    pi = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k and block[i] != block[k]:
-            k = pi[k - 1]
-        if block[i] == block[k]:
-            k += 1
-        pi[i] = k
-    out: list[int] = []
-    k = 0
-    for i, ch in enumerate(text, start=1):
-        while k and (k == m or ch != block[k]):
-            k = pi[k - 1]
-        if ch == block[k]:
-            k += 1
-        if k == m:
-            out.append(i)
-    return out
-
-
 def _or_spread(x: int, span: int) -> int:
     """x | (x << 1) | ... | (x << span), by doubling."""
     covered = 0
@@ -113,6 +102,45 @@ def _mask_from_positions(n: int, positions: Iterable[int]) -> int:
     for i in positions:
         buf[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buf, "little")
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(x: int, width: int) -> bytes:
+    """Byte i is 1 when bit i of x is set, else 0; at least width bytes."""
+    return bin(x)[:1:-1].encode().translate(_TO_FLAGS).ljust(width, b"\0")
+
+
+def _from_flags(flags: bytes | bytearray) -> int:
+    """Inverse of _flags: bit i is set when byte i is 1."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2) if flags else 0
+
+
+def _lowest_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def position_masks(syms: tuple[int, ...], wanted: Iterable[int]) -> dict[int, int]:
+    """Mask of the positions (1-based) holding symbol a, for each a in wanted."""
+    wanted = set(wanted)
+    if max(syms, default=0) < 256:
+        # one C-level translate per symbol instead of a loop over positions
+        top_first = bytes(syms)[::-1]
+        out = {}
+        for a in wanted:
+            table = bytearray(b"0" * 256)
+            if a < 256:
+                table[a] = ord("1")
+            out[a] = int(top_first.translate(table) or b"0", 2) << 1
+        return out
+    bufs = {a: bytearray(len(syms) // 8 + 2) for a in wanted}
+    for i, a in enumerate(syms, start=1):
+        b = bufs.get(a)
+        if b is not None:
+            b[i >> 3] |= 1 << (i & 7)
+    return {a: int.from_bytes(b, "little") for a, b in bufs.items()}
 
 
 def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
@@ -187,311 +215,205 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     return Embedding(tuple(pos))
 
 
-def _chain_witness(
-    blocks: list[tuple[int, ...]], levels: list[list[int]], origins: list
-) -> Embedding:
-    """Assemble the embedding from per-level end positions and predecessors."""
-    kblocks = len(blocks)
-    ends = [0] * kblocks
-    ends[-1] = levels[-1][0]
-    for t in range(kblocks - 1, 0, -1):
-        ends[t - 1] = origins[t][ends[t]]
-    positions: list[int] = []
-    for b, e in zip(blocks, ends):
-        positions.extend(range(e - len(b) + 1, e + 1))
-    return Embedding(tuple(positions))
+class GapStep:
+    """Which positions can follow which across one gap constraint, in one word.
 
-
-def match_length(w: Word, gs: GappedSequence) -> Optional[Embedding]:
-    """Matcher for zero and length constraints, O(n) per gap.
-
-    Carries sorted lists of feasible block ends; each gap step slides a
-    window [i - len - hi, i - len - lo] over the previous list with two
-    pointers.  The recorded predecessor is the smallest valid end.
+    reach(mask) maps a mask of positions j to the mask of positions i in
+    1..n such that the gap w[j+1..i-1] satisfies the constraint for some
+    j in mask; pred(mask, i) is the least such j.  Built once per (word,
+    normalized constraint) and reused for every mask.  DFA state sets are
+    ints with bit q for state q.
     """
-    for c in gs.constraints:
-        if not isinstance(c, (ZeroGap, LengthGap)):
-            raise UsageError("match_length handles zero and length constraints only")
-    if len(gs.pattern) == 0:
-        return Embedding(())
-    gs, infeasible = normalize(gs, len(w))
-    if infeasible:
-        return None
-    syms = w.symbols
-    n = len(syms)
-    blocks, joints = pattern_blocks(gs)
-    levels: list[list[int]] = [_end_positions(syms, blocks[0])]
-    origins: list[Optional[dict[int, int]]] = [None]
-    for t, c in enumerate(joints):
-        prev = levels[t]
-        if not prev:
-            return None
-        lo, hi = constraint_window(c, n)
-        blen = len(blocks[t + 1])
-        nxt: list[int] = []
-        orig: dict[int, int] = {}
-        p_in = 0
-        p_out = 0
-        for i in _end_positions(syms, blocks[t + 1]):
-            top = i - blen - lo
-            bot = i - blen - hi
-            while p_in < len(prev) and prev[p_in] <= top:
-                p_in += 1
-            while p_out < p_in and prev[p_out] < bot:
-                p_out += 1
-            if p_out < p_in:
-                nxt.append(i)
-                orig[i] = prev[p_out]
-        levels.append(nxt)
-        origins.append(orig)
-    if not levels[-1]:
-        return None
-    return _chain_witness(blocks, levels, origins)
 
-
-def match_regular(w: Word, gs: GappedSequence) -> Optional[Embedding]:
-    """Matcher for zero and regular constraints, O(n states) per gap.
-
-    Each gap step sweeps the word once keeping, per DFA state q, the
-    earliest feasible gap start that drives the DFA to q.  A position is
-    reachable when some final state carries a finite start.
-    """
-    for c in gs.constraints:
-        if not isinstance(c, (ZeroGap, RegularGap)):
-            raise UsageError("match_regular handles zero and regular constraints only")
-    if len(gs.pattern) == 0:
-        return Embedding(())
-    gs, infeasible = normalize(gs, len(w))
-    if infeasible:
-        return None
-    syms = w.symbols
-    n = len(syms)
-    blocks, joints = pattern_blocks(gs)
-    for c in joints:
-        if c.dfa.num_symbols < max(syms, default=0):
-            raise InputError("constraint DFA does not cover the word alphabet")
-    levels: list[list[int]] = [_end_positions(syms, blocks[0])]
-    origins: list[Optional[dict[int, int]]] = [None]
-    sentinel = n + 2
-    for t, c in enumerate(joints):
-        prev = levels[t]
-        if not prev:
-            return None
-        dfa = c.dfa
-        qn, q0 = dfa.num_states, dfa.initial
-        table, finals = dfa.table, sorted(dfa.finals)
-        in_prev = bytearray(n + 1)
-        for j in prev:
-            in_prev[j] = 1
-        S = [sentinel] * qn
-        best = [-1] * (n + 1)
-        for i in range(n + 1):
-            if i >= 1:
-                a = syms[i - 1] - 1
-                S2 = [sentinel] * qn
-                for q in range(qn):
-                    j = S[q]
-                    if j < sentinel:
-                        q2 = table[q][a]
-                        if j < S2[q2]:
-                            S2[q2] = j
-                S = S2
-            if in_prev[i] and i < S[q0]:
-                S[q0] = i
-            b = min(S[q] for q in finals) if finals else sentinel
-            if b < sentinel:
-                best[i] = b
-        blen = len(blocks[t + 1])
-        nxt: list[int] = []
-        orig: dict[int, int] = {}
-        for i in _end_positions(syms, blocks[t + 1]):
-            x = i - blen
-            if x >= 0 and best[x] >= 0:
-                nxt.append(i)
-                orig[i] = best[x]
-        levels.append(nxt)
-        origins.append(orig)
-    if not levels[-1]:
-        return None
-    return _chain_witness(blocks, levels, origins)
-
-
-def _forest_gap_step(
-    syms: tuple[int, ...],
-    n: int,
-    starts: list[int],
-    lo: int,
-    hi: int,
-    dfa,
-) -> tuple[bytearray, list[int]]:
-    """Trace-forest gap step: which positions close a feasible gap.
-
-    For every start j (a feasible end of the previous block, increasing)
-    the DFA trace over w[j+1..n] is threaded into a forest: node (i, q)
-    has parent (i+1, step(q, w[i+1])), and determinism makes equal nodes
-    share subtrees, so the forest has at most (n+1) * states nodes.
-
-    Starts are then processed in decreasing order; each jumps, via binary
-    lifting, to its ancestor lo levels up and marks ancestors through the
-    window of width hi - lo, stopping early at an already-marked node.
-    Early stopping is sound: the earlier (larger) start that marked the
-    met node has already marked the rest of the current window above it.
-    Position i closes a gap iff a final-state node in column i is marked;
-    forig[i] remembers the start recorded when column i was first hit.
-    """
-    qn = dfa.num_states
-    q0 = dfa.initial
-    table = dfa.table
-    finals = dfa.finals
-    colnode = array("i", [-1]) * ((n + 1) * qn)
-    col = array("i")
-    fin = bytearray()
-    parent = array("i")
-    start_node: dict[int, int] = {}
-    for j in starts:
-        i = j
-        q = q0
-        chain: list[int] = []
-        attach = -1
-        while True:
-            idx = i * qn + q
-            nid = colnode[idx]
-            if nid != -1:
-                attach = nid
-                break
-            nid = len(col)
-            colnode[idx] = nid
-            col.append(i)
-            fin.append(q in finals)
-            parent.append(-1)
-            chain.append(nid)
-            if i == n:
-                attach = -1
-                break
-            q = table[q][syms[i] - 1]
-            i += 1
-        if chain:
-            for a, b in zip(chain, chain[1:]):
-                parent[a] = b
-            parent[chain[-1]] = attach
-            start_node[j] = chain[0]
-        else:
-            start_node[j] = attach
-    m = len(col)
-    # lifting tables only as deep as the one jump distance ever taken
-    levels = lo.bit_length()
-    ups = [parent]
-    for _ in range(1, levels):
-        above = ups[-1]
-        cur = array("i", [-1]) * m
-        for v in range(m):
-            pv = above[v]
-            cur[v] = above[pv] if pv != -1 else -1
-        ups.append(cur)
-    marked = bytearray(m)
-    fset = bytearray(n + 1)
-    forig = [-1] * (n + 1)
-    for j in reversed(starts):
-        space = n - j
-        if lo > space:
-            continue
-        v = start_node[j]
-        d = lo
-        b = 0
-        while d:
-            if d & 1:
-                v = ups[b][v]
-            d >>= 1
-            b += 1
-        steps = min(hi, space) - lo
-        while True:
-            if marked[v]:
-                break
-            marked[v] = 1
-            if fin[v]:
-                c = col[v]
-                if not fset[c]:
-                    fset[c] = 1
-                    forig[c] = j
-            if steps == 0:
-                break
-            v = parent[v]
-            steps -= 1
-    return fset, forig
-
-
-def match_reglen(w: Word, gs: GappedSequence) -> Optional[Embedding]:
-    """General matcher: any mix of constraint kinds, O(n states log n) per gap.
-
-    Length-only gaps are lifted to a window plus the one-state
-    accept-everything DFA, so a single forest-based gap step serves all.
-    """
-    if len(gs.pattern) == 0:
-        return Embedding(())
-    gs, infeasible = normalize(gs, len(w))
-    if infeasible:
-        return None
-    syms = w.symbols
-    n = len(syms)
-    blocks, joints = pattern_blocks(gs)
-    maxsym = max(syms, default=1)
-    trivial = None
-    lifted: list[tuple[int, int, object]] = []
-    for c in joints:
-        lo, hi = constraint_window(c, n)
-        dfa = constraint_dfa(c)
+    def __init__(self, syms: tuple[int, ...], c) -> None:
+        self.syms = syms
+        self.n = n = len(syms)
+        self.full = (1 << (n + 1)) - 2
+        self.lo, self.hi = constraint_window(c, n)
+        self.dfa = dfa = constraint_dfa(c)
         if dfa is None:
-            if trivial is None:
-                trivial = sigma_star_dfa(maxsym)
-            dfa = trivial
-        elif dfa.num_symbols < maxsym:
-            raise InputError("constraint DFA does not cover the word alphabet")
-        lifted.append((lo, hi, dfa))
-    levels: list[list[int]] = [_end_positions(syms, blocks[0])]
-    origins: list[Optional[dict[int, int]]] = [None]
-    for t, (lo, hi, dfa) in enumerate(lifted):
-        prev = levels[t]
-        if not prev:
-            return None
-        fset, forig = _forest_gap_step(syms, n, prev, lo, hi, dfa)
-        blen = len(blocks[t + 1])
-        nxt: list[int] = []
-        orig: dict[int, int] = {}
-        for i in _end_positions(syms, blocks[t + 1]):
-            x = i - blen
-            if x >= 0 and fset[x]:
-                nxt.append(i)
-                orig[i] = forig[x]
-        levels.append(nxt)
-        origins.append(orig)
-    if not levels[-1]:
+            return
+        self.windowed = self.lo > 0 or self.hi < n
+        self.q0 = 1 << dfa.initial
+        self.fin = sum(1 << q for q in dfa.finals)
+        # moves[a][q]: the state reached from q on symbol a
+        self.moves = [()] + [
+            tuple(row[a] for row in dfa.table) for a in range(dfa.num_symbols)
+        ]
+        self.img: list[dict[int, int]] = [{} for _ in self.moves]
+        self.pre: list[dict[int, int]] = [{} for _ in self.moves]
+
+    def _image(self, a: int, states: int) -> int:
+        got = self.img[a].get(states)
+        if got is None:
+            got = 0
+            for q, q2 in enumerate(self.moves[a]):
+                if states >> q & 1:
+                    got |= 1 << q2
+            self.img[a][states] = got
+        return got
+
+    def _preimage(self, a: int, states: int) -> int:
+        got = self.pre[a].get(states)
+        if got is None:
+            got = 0
+            for q, q2 in enumerate(self.moves[a]):
+                if states >> q2 & 1:
+                    got |= 1 << q
+            self.pre[a][states] = got
+        return got
+
+    def reach(self, mask: int) -> int:
+        if not mask:
+            return 0
+        if self.dfa is None:
+            return _or_spread(mask << (1 + self.lo), self.hi - self.lo) & self.full
+        if self.windowed:
+            return self._window_sweep(mask)
+        return self._sweep(mask)
+
+    def _sweep(self, mask: int) -> int:
+        """Vacuous window: carry the set of DFA states over all open gaps."""
+        n, q0, fin = self.n, self.q0, self.fin
+        first = _lowest_bit(mask)
+        flags = _flags(mask, n + 1)
+        img = self.img
+        out = bytearray(n + 1)
+        states = q0
+        span = range(first + 1, n + 1)
+        for i, a, f in zip(span, self.syms[first:], flags[first + 1 :]):
+            if states & fin:
+                out[i] = 1
+            nxt = img[a].get(states)
+            if nxt is None:
+                nxt = self._image(a, states)
+            states = nxt | q0 if f else nxt
+        return _from_flags(out)
+
+    def _window_sweep(self, mask: int) -> int:
+        """Real window [lo, hi]: one sweep with two kinds of DFA traces.
+
+        The trace of a start j is its DFA state after w[j+1..c].  Traces
+        that meet stay together (the DFA is deterministic), so at most one
+        live trace per state exists; union-find keeps which trace each
+        start joined, giving the state of start j after exactly lo symbols.
+        That state enters a second set of traces, where each state keeps
+        only its latest entry: a later entry is never worse against hi.
+        """
+        n, lo, span = self.n, self.lo, self.hi - self.lo
+        q0 = self.dfa.initial
+        fin = self.fin
+        first = _lowest_bit(mask)
+        flags = _flags(mask, n + 1)
+        parent: dict[int, int] = {}  # start -> start whose trace it joined
+        state: dict[int, int] = {}  # root start -> its trace's current state
+        traces: dict[int, int] = {}  # state -> root start of the trace there
+        entries: dict[int, int] = {}  # state -> latest column entering it
+        out = bytearray(n + 1)
+        # column c: every open gap has read w[..c]; the next symbol is at c+1
+        for c in range(first, n):
+            if flags[c]:
+                root = traces.get(q0)
+                if root is None:
+                    traces[q0] = parent[c] = c
+                    state[c] = q0
+                else:
+                    parent[c] = root
+            j = c - lo
+            if j >= first and flags[j]:
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                entries[state[j]] = c
+            cut = c - span
+            for q, t in entries.items():
+                if t >= cut and fin >> q & 1:
+                    out[c + 1] = 1
+                    break
+            move = self.moves[self.syms[c]]
+            nxt: dict[int, int] = {}
+            for q, root in traces.items():
+                q2 = move[q]
+                other = nxt.get(q2)
+                if other is None:
+                    nxt[q2] = root
+                    state[root] = q2
+                else:
+                    parent[root] = other
+            traces = nxt
+            nxt = {}
+            for q, t in entries.items():
+                if t > cut and nxt.get(move[q], -1) < t:
+                    nxt[move[q]] = t
+            entries = nxt
+        return _from_flags(out)
+
+    def pred(self, mask: int, i: int) -> int:
+        """Least j in mask whose gap up to position i satisfies the constraint."""
+        lo, hi = self.lo, self.hi
+        first = max(i - 1 - hi, 0)
+        if self.dfa is None:
+            window = mask >> first & ((1 << (i - lo - first)) - 1)
+            return first + _lowest_bit(window) if window else -1
+        # backward preimage sweep: states is the set of DFA states from which
+        # the rest of the gap, w[j+1..i-1], ends in a final state
+        flags = _flags(mask, i)
+        q0, syms = self.q0, self.syms
+        states = self.fin
+        best = -1
+        for j in range(i - 1, max(first, 1) - 1, -1):
+            if not states:
+                break
+            if flags[j] and states & q0 and i - 1 - j >= lo:
+                best = j
+            a = syms[j - 1]
+            prev = self.pre[a].get(states)
+            states = prev if prev is not None else self._preimage(a, states)
+        return best
+
+
+def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
+    """Embedding of gs in w with the canonical witness, or None.
+
+    Position-mask DP over the pattern's blocks with one GapStep per
+    non-zero constraint; see the module docstring for the witness contract.
+    """
+    if len(gs.pattern) == 0:
+        return Embedding(())
+    gs, infeasible = normalize(gs, len(w))
+    if infeasible:
         return None
-    return _chain_witness(blocks, levels, origins)
-
-
-_ALGOS = {
-    "naive": match_naive,
-    "length": match_length,
-    "regular": match_regular,
-    "reglen": match_reglen,
-}
-
-
-def match(w: Word, gs: GappedSequence, algo: str = "auto") -> Optional[Embedding]:
-    """Dispatch to a matcher; auto picks the cheapest one that fits the constraints."""
-    if algo == "auto":
-        kinds = {type(c) for c in gs.constraints}
-        if kinds <= {ZeroGap, LengthGap}:
-            algo = "length"
-        elif kinds <= {ZeroGap, RegularGap}:
-            algo = "regular"
-        else:
-            algo = "reglen"
-    try:
-        fn = _ALGOS[algo]
-    except KeyError:
-        raise UsageError(f"unknown matcher {algo!r}") from None
-    return fn(w, gs)
+    syms = w.symbols
+    blocks, joints = pattern_blocks(gs)
+    maxsym = max(syms, default=0)
+    for c in joints:
+        dfa = constraint_dfa(c)
+        if dfa is not None and dfa.num_symbols < maxsym:
+            raise InputError("constraint DFA does not cover the word alphabet")
+    posmask = position_masks(syms, gs.pattern.symbols)
+    ends = []
+    for block in blocks:
+        m = len(block)
+        e = posmask[block[-1]]
+        for idx in range(m - 1):
+            e &= posmask[block[idx]] << (m - 1 - idx)
+        ends.append(e)
+    D = [ends[0]]
+    steps = []
+    for t, c in enumerate(joints):
+        if not D[t]:
+            return None
+        step = GapStep(syms, c)
+        steps.append(step)
+        D.append((step.reach(D[t]) << (len(blocks[t + 1]) - 1)) & ends[t + 1])
+    if not D[-1]:
+        return None
+    end = _lowest_bit(D[-1])
+    positions = list(range(end - len(blocks[-1]) + 1, end + 1))
+    for t in range(len(joints) - 1, -1, -1):
+        end = steps[t].pred(D[t], positions[0])
+        assert end >= 1, "forward pass admitted an unreachable end"
+        positions[:0] = range(end - len(blocks[t]) + 1, end + 1)
+    return Embedding(tuple(positions))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ from gapsub import (
     verify_embedding,
 )
 from gapsub.cli import bench_match, run_cli
-from gapsub.matchers import match_length, match_naive, match_regular, match_reglen
+from gapsub.matchers import match_naive
 
 FREE = LengthGap(0, INF)
 
@@ -118,9 +118,6 @@ CONSTRAINT_BASES = {
     ],
 }
 
-MATCHERS = {"length": match_length, "regular": match_regular, "reglen": match_reglen}
-
-
 def _pools(kind: str, k: int) -> list[tuple]:
     tuples = list(itertools.product(CONSTRAINT_BASES[kind], repeat=k - 1))
     if len(tuples) > 10:
@@ -132,18 +129,19 @@ def test_matchers_agree_with_naive_reference():
     t0 = time.perf_counter()
     per_class = 10_000
     checked = 0
-    for kind, matcher in MATCHERS.items():
+    for kind in CONSTRAINT_BASES:
         rng = random.Random(f"agree:{kind}")
         for _ in range(per_class):
             w, gs = random_instance(rng, kind, max_n=25, max_k=7, max_sigma=4)
             a = match_naive(w, gs)
-            b = matcher(w, gs)
+            b = match(w, gs)
             assert (a is None) == (b is None), (kind, w, gs)
             if b is not None:
                 assert verify_embedding(w, gs, b)
+                assert b.positions == a.positions, (kind, w, gs)
             checked += 1
     words = all_words(2, range(0, 9))
-    for kind, matcher in MATCHERS.items():
+    for kind in CONSTRAINT_BASES:
         for k in (1, 2, 3):
             pats = all_words(2, [k])
             for cons in _pools(kind, k):
@@ -151,8 +149,10 @@ def test_matchers_agree_with_naive_reference():
                     gs = GappedSequence(p, cons)
                     for w in words:
                         a = match_naive(w, gs)
-                        b = matcher(w, gs)
+                        b = match(w, gs)
                         assert (a is None) == (b is None), (kind, w, gs)
+                        if b is not None:
+                            assert b.positions == a.positions, (kind, w, gs)
                         checked += 1
     dt = time.perf_counter() - t0
     assert dt < 120.0

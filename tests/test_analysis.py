@@ -76,7 +76,8 @@ def test_analysis_agrees_with_enumeration(data):
     sigma = rng.randint(1, 3)
     ab = Alphabet(sigma)
     k = rng.randint(1, 3)
-    gc = tuple(random_constraint(rng, "regular", sigma) for _ in range(k - 1))
+    kind = data.draw(st.sampled_from(["length", "regular", "reglen"]))
+    gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
     wa = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 8))))
     wb = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 8))))
     la = brute_lang_k(wa, gc, sigma, k)

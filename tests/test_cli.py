@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from gapsub import (
@@ -166,12 +170,45 @@ def test_cli_match_yes_no_and_witness(tmp_path, capsys):
     assert code == 1 and "match: no" in out
 
 
-def test_cli_match_algo_choice(tmp_path, capsys):
-    c = _write_constraints(tmp_path, "c2", "k 2\nZ\n")
-    for algo in ("auto", "naive", "length", "reglen"):
-        code = run_cli(["match", "-w", "ab", "-p", "ab", "-c", c, "--algo", algo])
-        capsys.readouterr()
-        assert code == 0
+def test_cli_match_canonical_witness(tmp_path, capsys):
+    # accept-all two-state DFA under a 2..6 window: several embeddings end
+    # at 6; the witness takes the least feasible predecessor, 2
+    (tmp_path / "all.dfa").write_text(
+        "states 2\ninitial 0\nfinal 0 1\nalphabet 2\n"
+        "trans 0 1 1\ntrans 0 2 1\ntrans 1 1 0\ntrans 1 2 0\n"
+    )
+    c = _write_constraints(tmp_path, "c", "k 2\nRL 2 6 all.dfa\n")
+    code = run_cli(["match", "-w", "abbabaaaab", "-p", "ba", "-c", c, "--witness"])
+    out = capsys.readouterr().out
+    assert code == 0 and "witness: 2 6" in out
+    # no option selects the matcher any more
+    code = run_cli(["match", "-w", "ab", "-p", "ab", "-c", c, "--algo", "naive"])
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_python_m_entry_points_exit_codes(tmp_path):
+    c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cases = [
+        (["-w", "abc", "-p", "ac", "-c", c, "--witness"], 0, "witness: 1 3"),
+        (["-w", "abc", "-p", "ca", "-c", c], 1, "match: no"),
+        (["-w", "abc", "-p", "ac", "-c", str(tmp_path / "missing")], 2, ""),
+    ]
+    for module in ("gapsub", "gapsub.cli"):
+        for args, want, text in cases:
+            got = subprocess.run(
+                [sys.executable, "-m", module, "match", *args],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert got.returncode == want, (module, args, got.stderr)
+            assert text in got.stdout
+            if want == 2:
+                assert "error:" in got.stderr and got.stdout == ""
 
 
 def test_cli_match_pattern_length_mismatch(tmp_path, capsys):
@@ -278,11 +315,6 @@ def test_cli_match_with_equalities(tmp_path, capsys):
     code = run_cli(["match", "-w", "abca", "-p", "aba", "-c", c])
     capsys.readouterr()
     assert code == 0
-    code = run_cli(
-        ["match", "-w", "acbca", "-p", "aba", "-c", c, "--eq", str(eqf), "--algo", "naive"]
-    )
-    capsys.readouterr()
-    assert code == 2
 
 
 def test_cli_gen_ov_pipeline(tmp_path, capsys):

@@ -52,6 +52,10 @@ def test_word_validation():
         Word((0,))
     with pytest.raises(InputError):
         Word((1, -2))
+    with pytest.raises(InputError):
+        Word((True, 2))
+    with pytest.raises(InputError):
+        Word((1, False))
     ABC.validate_word(w("cab"))
     with pytest.raises(InputError):
         Alphabet(2).validate_word(Word((3,)))
@@ -71,6 +75,18 @@ def test_constraint_validation():
     LengthGap(0, INF)
     with pytest.raises(InputError):
         RegLenGap(2, 1, sigma_star_dfa(2))
+
+    class RunOnly:
+        def run(self, gap):
+            return True
+
+    star = sigma_star_dfa(2)
+    for dfa in (RunOnly(), object(), star.table):
+        with pytest.raises(InputError):
+            RegularGap(dfa)
+        with pytest.raises(InputError):
+            RegLenGap(0, 3, dfa)
+    assert RegularGap(star).dfa is star and RegLenGap(0, 3, star).dfa is star
 
 
 def test_is_zero_gap():

@@ -17,16 +17,13 @@ from gapsub import (
     Word,
     ZeroGap,
     match,
-    match_length,
     match_naive,
-    match_regular,
-    match_reglen,
     match_with_equalities,
     pattern_blocks,
     sigma_star_dfa,
     verify_embedding,
 )
-from gapsub.matchers import _forest_gap_step
+from gapsub.matchers import GapStep
 from helpers import (
     brute_embeddings,
     gap_ok,
@@ -49,7 +46,7 @@ def test_worked_example_single_embedding():
     word = w("abacbba")
     gs = GappedSequence(w("aaa"), FREE2)
     assert brute_embeddings(word, gs) == [(1, 3, 7)]
-    for fn in (match_naive, match_length, match_reglen):
+    for fn in (match_naive, match):
         e = fn(word, gs)
         assert e is not None and e.positions == (1, 3, 7)
 
@@ -60,10 +57,12 @@ def test_worked_example_two_embeddings():
     assert brute_embeddings(word, gs) == [(4, 5, 7), (4, 6, 7)]
     e = match_naive(word, gs)
     assert e is not None and verify_embedding(word, gs, e)
+    # canonical witness: leftmost last position, then least predecessors
+    assert e.positions == (4, 5, 7) == match(word, gs).positions
 
 
 def test_empty_pattern_always_matches():
-    for fn in (match_naive, match_length, match_regular, match_reglen):
+    for fn in (match_naive, match):
         e = fn(w(""), GappedSequence(w(""), ()))
         assert e is not None and e.positions == ()
 
@@ -86,34 +85,34 @@ def test_pattern_blocks_all_zero():
     assert joints == []
 
 
-def test_matchers_reject_foreign_constraint_classes():
-    gs_dfa = GappedSequence(w("ab"), (RegularGap(sigma_star_dfa(3)),))
-    with pytest.raises(UsageError):
-        match_length(w("ab"), gs_dfa)
-    gs_len = GappedSequence(w("ab"), (LengthGap(1, 2),))
-    with pytest.raises(UsageError):
-        match_regular(w("ab"), gs_len)
-
-
 def test_narrow_dfa_rejected():
     gs = GappedSequence(w("ab"), (RegularGap(sigma_star_dfa(1)),))
     with pytest.raises(InputError):
-        match_regular(w("abc"), gs)
+        match(w("abc"), gs)
     gs2 = GappedSequence(w("ab"), (RegLenGap(0, 2, sigma_star_dfa(1)),))
     with pytest.raises(InputError):
-        match_reglen(w("abc"), gs2)
+        match(w("abc"), gs2)
 
 
 def test_match_dispatcher_picks_an_algorithm():
+    # the gap step picks its case from the constraint alone
     word = w("abacbba")
-    gs = GappedSequence(w("aa"), (LengthGap(0, 3),))
-    assert match(word, gs).positions == match_length(word, gs).positions
-    gs = GappedSequence(w("aa"), (RegularGap(sigma_star_dfa(3)),))
-    assert match(word, gs) is not None
-    gs = GappedSequence(w("aa"), (RegLenGap(1, 4, sigma_star_dfa(3)),))
-    assert match(word, gs) is not None
-    with pytest.raises(UsageError):
-        match(word, gs, algo="nope")
+    star = sigma_star_dfa(3)
+    cases = [
+        (LengthGap(0, 3), None),
+        (RegularGap(star), False),
+        (RegLenGap(0, INF, star), False),
+        (RegLenGap(0, 99, star), False),
+        (RegLenGap(1, 4, star), True),
+        (RegLenGap(0, 4, star), True),
+    ]
+    for c, windowed in cases:
+        step = GapStep(word.symbols, c)
+        assert (step.dfa is None) == (windowed is None)
+        if windowed is not None:
+            assert step.windowed == windowed
+        gs = GappedSequence(w("aa"), (c,))
+        assert match(word, gs).positions == match_naive(word, gs).positions
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,44 +122,35 @@ def test_matchers_agree_with_bruteforce(data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
     word, gs = random_instance(rng, kind, max_n=10, max_k=4, max_sigma=3)
     want = bool(brute_embeddings(word, gs))
-    fn = {"length": match_length, "regular": match_regular, "reglen": match_reglen}[kind]
     a = match_naive(word, gs)
-    b = fn(word, gs)
+    b = match(word, gs)
     assert (a is not None) == want
     assert (b is not None) == want
-    for e in (a, b):
-        if e is not None:
-            assert verify_embedding(word, gs, e)
-
-
-def _brute_gap_ends(syms, n, starts, lo, hi, dfa):
-    fset = bytearray(n + 1)
-    for x in range(n + 1):
-        for j in starts:
-            if j <= x and lo <= x - j <= hi and dfa.run(syms[j:x]):
-                fset[x] = 1
-                break
-    return fset
+    if b is not None:
+        assert verify_embedding(word, gs, b)
+        assert b.positions == a.positions
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_forest_gap_step_matches_quadratic_reference(data):
+def test_dfa_gap_step_matches_quadratic_reference(data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
     n = rng.randint(0, 14)
     sigma = rng.randint(1, 3)
     syms = tuple(rng.randint(1, sigma) for _ in range(n))
     starts = sorted(rng.sample(range(0, n + 1), rng.randint(0, n + 1)))
     lo = rng.randint(0, n + 1)
-    hi = lo + rng.randint(0, n)
-    dfa = random_dfa(rng, rng.randint(1, 3), sigma)
-    fset, forig = _forest_gap_step(syms, n, starts, lo, min(hi, n), dfa)
-    want = _brute_gap_ends(syms, n, starts, lo, min(hi, n), dfa)
-    assert bytes(fset) == bytes(want)
-    for x in range(n + 1):
-        if fset[x]:
-            j = forig[x]
-            assert j in starts and lo <= x - j <= hi and dfa.run(syms[j:x])
+    hi = INF if rng.random() < 0.2 else lo + rng.randint(0, n)
+    dfa = random_dfa(rng, rng.randint(1, 4), sigma)
+    step = GapStep(syms, RegLenGap(lo, hi, dfa))
+    mask = sum(1 << j for j in starts)
+    got = step.reach(mask)
+    for i in range(1, n + 1):
+        feasible = [j for j in starts if j < i and lo <= i - 1 - j <= hi and dfa.run(syms[j : i - 1])]
+        assert bool(got >> i & 1) == bool(feasible), (i, feasible)
+        if feasible and feasible[0] >= 1:
+            assert step.pred(mask, i) == feasible[0]
+    assert got >> (n + 1) == 0 and got & 1 == 0
 
 
 def test_equality_system_classes():
@@ -228,11 +218,11 @@ def test_equality_matching_rejects_dfa_constraints():
 def test_zero_gap_forces_contiguity():
     word = w("abab")
     gs = GappedSequence(w("ab"), (ZeroGap(),))
-    for fn in (match_naive, match_length, match_regular, match_reglen):
+    for fn in (match_naive, match):
         e = fn(word, gs)
-        assert e is not None and e.positions in ((1, 2), (3, 4))
+        assert e is not None and e.positions == (1, 2)
     gs2 = GappedSequence(w("aa"), (ZeroGap(),))
-    for fn in (match_naive, match_length, match_regular, match_reglen):
+    for fn in (match_naive, match):
         assert fn(word, gs2) is None
 
 
@@ -240,5 +230,19 @@ def test_infeasible_window_never_matches():
     word = w("aaaa")
     gs = GappedSequence(w("aa"), (LengthGap(9, 11),))
     assert match_naive(word, gs) is None
-    assert match_length(word, gs) is None
-    assert match_reglen(word, GappedSequence(w("aa"), (RegLenGap(9, 11, sigma_star_dfa(3)),))) is None
+    assert match(word, gs) is None
+    assert match(word, GappedSequence(w("aa"), (RegLenGap(9, 11, sigma_star_dfa(3)),))) is None
+
+
+def test_symbol_ids_beyond_a_byte():
+    # position masks for ids >= 256 take the per-position path
+    rng = random.Random("wide-ids")
+    ids = (1, 255, 256, 300)
+    for _ in range(200):
+        word = Word(tuple(rng.choice(ids) for _ in range(rng.randint(0, 12))))
+        p = Word(tuple(rng.choice(ids) for _ in range(rng.randint(1, 4))))
+        gc = tuple(random_constraint(rng, "length", 1) for _ in range(len(p) - 1))
+        gs = GappedSequence(p, gc)
+        a, b = match_naive(word, gs), match(word, gs)
+        assert (a is None) == (b is None) == (not brute_embeddings(word, gs))
+        assert a is None or a.positions == b.positions

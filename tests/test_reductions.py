@@ -145,7 +145,7 @@ def test_ov_chain_exhaustive_tiny():
             inst = OvInstance(d, tuple(vecs[:n]), tuple(vecs[n:]))
             want = solve_ov_bruteforce(inst)
             w, gs = ov_to_match(inst)
-            e = match(w, gs, algo="length")
+            e = match(w, gs)
             assert (e is not None) == want
             if e is not None:
                 assert verify_embedding(w, gs, e)
@@ -158,7 +158,7 @@ def test_ov_chain_random():
         d = rng.randint(2, 4)
         inst = random_ov(n, d, seed=rng.randint(0, 10**6))
         want = solve_ov_bruteforce(inst)
-        got = match(ov_to_match(inst)[0], ov_to_match(inst)[1], algo="length")
+        got = match(ov_to_match(inst)[0], ov_to_match(inst)[1])
         assert (got is not None) == want
 
 
@@ -387,4 +387,4 @@ def test_equality_chain_random():
 def test_brute_match_agrees_with_matcher_on_reduction_words():
     inst = random_ov(2, 3, seed=9)
     w, gs = ov_to_match(inst)
-    assert brute_match(w, gs) == (match(w, gs, algo="length") is not None)
+    assert brute_match(w, gs) == (match(w, gs) is not None)
