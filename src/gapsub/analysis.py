@@ -10,6 +10,17 @@ empty frontier kills the whole subtree at once.  All three problems are
 hard in general, so enumeration is guarded by an explicit budget on
 sigma**k.
 
+One search serves all three: universality is containment of Sigma^k,
+a left side whose frontier never empties, in Sub(w).  The subtree under
+a prefix of length d depends only on (d, left frontier, right
+frontier), so the search memoises the subtrees it has proved contained
+and skips them when the same key comes back.  The memo lives for one
+call only; a hit is charged as the sigma**(k-d) candidates the skipped
+subtree holds, so candidates_checked, the decision and the
+lexicographically least witness are those of the plain enumeration.
+The memo stops growing once its keys hold MEMO_BITS frontier bits,
+which bounds its memory without changing any answer or count.
+
 classical_containment handles the unconstrained fixed-length case
 through a product of subsequence automata instead of enumeration.
 """
@@ -31,12 +42,16 @@ from .core import (
     GapConstraint,
     InputError,
     Word,
-    constraint_dfa,
+    check_dfa_alphabet,
     normalize_constraints,
 )
 from .matchers import GapStep, position_masks
 
 DEFAULT_BUDGET = 1 << 20
+
+# Frontier bits the memo of one search may hold (8 MiB of masks); past
+# this the search inserts nothing more and runs on with what it has.
+MEMO_BITS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -44,6 +59,7 @@ class AnalysisReport:
     decision: bool
     witness: Optional[Word]
     candidates_checked: int
+    spreads: int = 0  # GapStep.reach calls the search made
 
 
 class _WordFrontier:
@@ -51,22 +67,36 @@ class _WordFrontier:
 
     def __init__(self, syms: tuple[int, ...], gc: tuple[GapConstraint, ...], sigma: int):
         n = len(syms)
+        check_dfa_alphabet(gc, sigma)
         masks = position_masks(syms, range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
-        for c in gc:
-            d = constraint_dfa(c)
-            if d is not None and d.num_symbols < sigma:
-                raise InputError("constraint DFA does not cover the alphabet")
         self.steps = [GapStep(syms, c) for c in gc]
         self.dead = any(step.lo > n for step in self.steps)
+        self.spreads = 0
 
     def spread(self, frontier: int, t: int) -> int:
         """All positions reachable from the frontier across gap t (before the
         next symbol's position filter)."""
+        self.spreads += 1
         return self.steps[t].reach(frontier)
 
     def start(self, a: int) -> int:
         return 0 if self.dead else self.posmask[a]
+
+
+class _AllStrings:
+    """The left side of universality: every string, a frontier that never empties."""
+
+    spreads = 0
+
+    def __init__(self, sigma: int):
+        self.posmask = [1] * (sigma + 1)
+
+    def spread(self, frontier: int, t: int) -> int:
+        return 1
+
+    def start(self, a: int) -> int:
+        return 1
 
 
 def _check_budget(sigma: int, k: int, budget: int) -> None:
@@ -87,91 +117,73 @@ def _prepare(w: Word, gc, alphabet: Alphabet):
     return norm
 
 
-def _uni_subtree(args) -> tuple[bool, Optional[tuple[int, ...]], int]:
-    """Universality check restricted to candidates starting with symbol a.
+def _search(args) -> tuple[bool, Optional[tuple[int, ...]], int, int]:
+    """Is every length-k string of the left word that starts with one of
+    the symbols in firsts (increasing) also a string of the right word?
+    A left word of None stands for every string (universality).
 
-    Returns (all present, witness ids or None, candidates checked).  The
-    witness is the lexicographically least absent string in the subtree:
-    depth-first order visits candidates in lexicographic order and an
-    empty frontier at a prefix pins the absent string as that prefix
-    padded with symbol 1.
+    Returns (contained, witness ids or None, candidates checked, gap-step
+    spreads made).  The stack pops candidates in lexicographic order, so
+    the first string of length k with a live left frontier and a dead
+    right frontier is the lexicographically least counterexample, and it
+    ends the search.  A subtree with a dead left frontier is vacuously
+    contained and counted in bulk.  A key enters the memo when its node
+    is expanded: a key holds its depth, so it cannot recur inside its own
+    subtree, and any later pop of it comes after that subtree was
+    searched to the end without a counterexample.
     """
-    wsyms, gc, sigma, k, a = args
-    fr = _WordFrontier(wsyms, gc, sigma)
+    wsyms, gcl, w2syms, gcr, sigma, k, firsts = args
+    left = _AllStrings(sigma) if wsyms is None else _WordFrontier(wsyms, gcl, sigma)
+    right = _WordFrontier(w2syms, gcr, sigma)
+    memo: set[tuple[int, int, int]] = set()
+    room = MEMO_BITS
     count = 0
-    stack = [(1, fr.start(a), (a,))]
+    path = [0] * k
+    lpm, rpm = left.posmask, right.posmask
+    stack = [(1, left.start(a), right.start(a), a) for a in reversed(firsts)]
     while stack:
-        d, frontier, prefix = stack.pop()
-        if frontier == 0:
-            # emptiness is only judged at pop time, so this is the
-            # lexicographically least failing prefix; pad with symbol 1
-            return (False, prefix + (1,) * (k - d), count + 1)
-        if d == k:
-            count += 1
-            continue
-        base = fr.spread(frontier, d - 1)
-        pending = []
-        for sym in range(1, sigma + 1):
-            pending.append((d + 1, base & fr.posmask[sym], prefix + (sym,)))
-        # push in reverse so symbol 1 is explored first
-        stack.extend(reversed(pending))
-    return (True, None, count)
-
-
-def _con_subtree(args) -> tuple[bool, Optional[tuple[int, ...]], int]:
-    """Containment check restricted to candidates starting with symbol a.
-
-    Tracks one frontier per word; a subtree with an empty left frontier
-    is vacuously contained and accounted for in bulk, and a candidate
-    reaching depth k with a live left frontier and a dead right frontier
-    is the lexicographically least counterexample.
-    """
-    wsyms, w2syms, gc, gc2, sigma, k, a = args
-    fl = _WordFrontier(wsyms, gc, sigma)
-    fr = _WordFrontier(w2syms, gc2, sigma)
-    count = 0
-    stack = [(1, fl.start(a), fr.start(a), (a,))]
-    while stack:
-        d, lfro, rfro, prefix = stack.pop()
-        if lfro == 0:
-            # nothing from w in this subtree: vacuously contained, count in bulk
+        d, lfro, rfro, sym = stack.pop()
+        path[d - 1] = sym
+        if not lfro:
             count += sigma ** (k - d)
             continue
         if d == k:
             count += 1
-            if rfro == 0:
-                return (False, prefix, count)
+            if not rfro:
+                return (False, tuple(path), count, left.spreads + right.spreads)
             continue
-        lbase = fl.spread(lfro, d - 1)
-        rbase = fr.spread(rfro, d - 1) if rfro else 0
-        pending = []
-        for sym in range(1, sigma + 1):
-            pending.append(
-                (d + 1, lbase & fl.posmask[sym], rbase & fr.posmask[sym], prefix + (sym,))
-            )
-        stack.extend(reversed(pending))
-    return (True, None, count)
+        key = (d, lfro, rfro)
+        if key in memo:
+            count += sigma ** (k - d)
+            continue
+        bits = lfro.bit_length() + rfro.bit_length()
+        if bits <= room:
+            room -= bits
+            memo.add(key)
+        lbase = left.spread(lfro, d - 1)
+        rbase = right.spread(rfro, d - 1) if rfro else 0
+        # push in reverse so symbol 1 is explored first
+        for s in range(sigma, 0, -1):
+            stack.append((d + 1, lbase & lpm[s], rbase & rpm[s], s))
+    return (True, None, count, left.spreads + right.spreads)
 
 
-def _run_partitions(worker, per_symbol_args, sigma: int, workers: int):
-    """Run a per-first-symbol worker over all symbols, sequentially or in
-    a process pool, and merge in increasing symbol order."""
+def _decide(wsyms, gcl, w2syms, gcr, sigma: int, k: int, workers: int) -> AnalysisReport:
+    """One search over all first symbols, or one per first symbol in a
+    process pool, merged in increasing symbol order."""
     if workers <= 1:
-        results = []
-        for args in per_symbol_args:
-            res = worker(args)
-            results.append(res)
-            if not res[0]:
-                break
+        results = [_search((wsyms, gcl, w2syms, gcr, sigma, k, range(1, sigma + 1)))]
     else:
+        args = [(wsyms, gcl, w2syms, gcr, sigma, k, (a,)) for a in range(1, sigma + 1)]
         with ProcessPoolExecutor(max_workers=min(workers, sigma)) as pool:
-            results = list(pool.map(worker, per_symbol_args))
+            results = list(pool.map(_search, args))
+    spreads = sum(r[3] for r in results)
     count = 0
-    for ok, witness, c in results:
+    for ok, witness, c, _ in results:
         count += c
         if not ok:
-            return (False, witness, count)
-    return (True, None, count)
+            return AnalysisReport(False, Word(witness), count, spreads)
+    return AnalysisReport(True, None, count, spreads)
 
 
 def universality(
@@ -191,10 +203,7 @@ def universality(
     sigma = alphabet.size
     k = len(gc) + 1
     _check_budget(sigma, k, budget)
-    wsyms = w.symbols
-    args = [(wsyms, gc, sigma, k, a) for a in range(1, sigma + 1)]
-    ok, witness, count = _run_partitions(_uni_subtree, args, sigma, workers)
-    return AnalysisReport(ok, None if witness is None else Word(witness), count)
+    return _decide(None, (), w.symbols, gc, sigma, k, workers)
 
 
 def containment(
@@ -216,11 +225,7 @@ def containment(
     sigma = alphabet.size
     k = len(gcl) + 1
     _check_budget(sigma, k, budget)
-    args = [
-        (w.symbols, w2.symbols, gcl, gcr, sigma, k, a) for a in range(1, sigma + 1)
-    ]
-    ok, witness, count = _run_partitions(_con_subtree, args, sigma, workers)
-    return AnalysisReport(ok, None if witness is None else Word(witness), count)
+    return _decide(w.symbols, gcl, w2.symbols, gcr, sigma, k, workers)
 
 
 def equivalence(
@@ -245,6 +250,7 @@ def equivalence(
         second.decision,
         second.witness,
         first.candidates_checked + second.candidates_checked,
+        first.spreads + second.spreads,
     )
 
 

@@ -53,6 +53,7 @@ from .core import (
     RegularGap,
     Word,
     ZeroGap,
+    check_dfa_alphabet,
 )
 from .matchers import EqualitySystem, match, match_with_equalities
 from .multiplicity import count_embeddings, equivalence_with_multiplicities
@@ -539,22 +540,12 @@ def _load_session(
     return resolve_words(inputs, glyphs, sigma)
 
 
-def _check_dfa_alphabet(gc: Sequence[GapConstraint], alphabet: Alphabet) -> None:
-    for c in gc:
-        d = getattr(c, "dfa", None)
-        if d is not None and d.num_symbols != alphabet.size:
-            raise InputError(
-                f"constraint DFA alphabet {d.num_symbols} does not match "
-                f"session alphabet {alphabet.size}"
-            )
-
-
 def _cmd_match(args) -> int:
     alphabet, (w, p), _ = _load_session([args.word, args.pattern], args.glyphs, args.sigma)
     k, gc = read_constraints_file(args.constraints)
     if k != len(p):
         raise InputError(f"constraint file is for k {k}, pattern has length {len(p)}")
-    _check_dfa_alphabet(gc, alphabet)
+    check_dfa_alphabet(gc, alphabet.size)
     gs = GappedSequence(p, gc)
     if args.eq is not None:
         try:
@@ -580,7 +571,7 @@ def _cmd_analyze(args) -> int:
     values = [args.word] + ([args.word2] if args.mode in ("con", "equ") else [])
     alphabet, words, mode = _load_session(values, args.glyphs, args.sigma)
     k, gc = read_constraints_file(args.constraints)
-    _check_dfa_alphabet(gc, alphabet)
+    check_dfa_alphabet(gc, alphabet.size)
     if args.mode == "uni":
         report = universality(
             words[0], gc, alphabet, budget=args.budget, workers=args.workers
@@ -608,7 +599,7 @@ def _cmd_count(args) -> int:
     k, gc = read_constraints_file(args.constraints)
     if k != len(p):
         raise InputError(f"constraint file is for k {k}, pattern has length {len(p)}")
-    _check_dfa_alphabet(gc, alphabet)
+    check_dfa_alphabet(gc, alphabet.size)
     total = count_embeddings(w, GappedSequence(p, gc))
     print(total)
     return 0 if total > 0 else 1
@@ -617,7 +608,7 @@ def _cmd_count(args) -> int:
 def _cmd_equ_mult(args) -> int:
     alphabet, (w, w2), mode = _load_session([args.word, args.word2], args.glyphs, args.sigma)
     k, gc = read_constraints_file(args.constraints)
-    _check_dfa_alphabet(gc, alphabet)
+    check_dfa_alphabet(gc, alphabet.size)
     ok, witness = equivalence_with_multiplicities(w, w2, gc)
     print(f"equivalent: {'yes' if ok else 'no'}")
     if witness is not None:

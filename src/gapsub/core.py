@@ -201,6 +201,19 @@ def constraint_dfa(c: GapConstraint):
     return None
 
 
+def check_dfa_alphabet(constraints: Iterable[GapConstraint], sigma: int) -> None:
+    """Raise InputError unless every constraint DFA covers the symbols 1..sigma.
+
+    A DFA over more symbols is fine: gaps never read the extra ones.
+    """
+    for c in constraints:
+        dfa = constraint_dfa(c)
+        if dfa is not None and dfa.num_symbols < sigma:
+            raise InputError(
+                f"constraint DFA covers {dfa.num_symbols} symbols, the alphabet has {sigma}"
+            )
+
+
 def constraint_allows(c: GapConstraint, gap: Iterable[int]) -> bool:
     """Membership of a concrete gap (sequence of symbol ids) in the constraint."""
     gap = tuple(gap)

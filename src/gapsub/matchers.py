@@ -44,6 +44,7 @@ from .core import (
     UsageError,
     Word,
     ZeroGap,
+    check_dfa_alphabet,
     constraint_allows,
     constraint_dfa,
     constraint_window,
@@ -153,6 +154,7 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
+    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
     gs, infeasible = normalize(gs, len(w))
     if infeasible:
         return None
@@ -180,8 +182,6 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
             allow = _or_spread(D[t] << (1 + lo), hi - lo)
         else:
             dfa = c.dfa
-            if dfa.num_symbols < max(syms):
-                raise InputError("constraint DFA does not cover the word alphabet")
             table, finals, q0 = dfa.table, dfa.finals, dfa.initial
             allow_pos = []
             for j in _iter_bits(D[t]):
@@ -379,16 +379,12 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
+    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
     gs, infeasible = normalize(gs, len(w))
     if infeasible:
         return None
     syms = w.symbols
     blocks, joints = pattern_blocks(gs)
-    maxsym = max(syms, default=0)
-    for c in joints:
-        dfa = constraint_dfa(c)
-        if dfa is not None and dfa.num_symbols < maxsym:
-            raise InputError("constraint DFA does not cover the word alphabet")
     posmask = position_masks(syms, gs.pattern.symbols)
     ends = []
     for block in blocks:

@@ -23,6 +23,7 @@ from .core import (
     BudgetError,
     GappedSequence,
     Word,
+    check_dfa_alphabet,
     constraint_dfa,
     constraint_window,
     normalize,
@@ -56,6 +57,7 @@ def count_embeddings(w: Word, gs: GappedSequence) -> int:
     """Number of embeddings of gs in w, exact."""
     if len(gs.pattern) == 0:
         return 1
+    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
     gs, infeasible = normalize(gs, len(w))
     if infeasible:
         return 0
@@ -90,7 +92,9 @@ def parikh_k(
     """
     alphabet.validate_word(w)
     sigma = alphabet.size
-    gc, infeasible = normalize_constraints(tuple(gc), len(w))
+    gc = tuple(gc)
+    check_dfa_alphabet(gc, sigma)
+    gc, infeasible = normalize_constraints(gc, len(w))
     k = len(gc) + 1
     total = sigma**k
     if total > budget:
@@ -150,9 +154,10 @@ def build_counting_nfa(w: Word, gc) -> CountingNfa:
     gc = tuple(gc)
     n = len(w)
     k = len(gc) + 1
-    gcn, _ = normalize_constraints(gc, n)
     syms = w.symbols
     sigma = max(syms, default=1)
+    check_dfa_alphabet(gc, sigma)
+    gcn, _ = normalize_constraints(gc, n)
     error = (n + 1, k + 1)
     states: list[tuple[int, int]] = [(0, 0)]
     states.extend((i, j) for i in range(1, n + 1) for j in range(1, k + 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from gapsub import (
     INF,
@@ -159,3 +159,104 @@ def all_words(sigma: int, lengths: Iterable[int]) -> list[Word]:
         for syms in itertools.product(range(1, sigma + 1), repeat=n):
             out.append(Word(syms))
     return out
+
+
+class _SetFrontier:
+    """Frontiers as sets of word positions, spread by direct gap checks."""
+
+    def __init__(self, w: Word, gc: Sequence[GapConstraint], sigma: int):
+        self.syms = w.symbols
+        self.gc = tuple(gc)
+        self.posmask = [frozenset()] + [
+            frozenset(i for i, s in enumerate(self.syms, start=1) if s == a)
+            for a in range(1, sigma + 1)
+        ]
+
+    def spread(self, frontier: frozenset, t: int) -> frozenset:
+        n = len(self.syms)
+        return frozenset(
+            i
+            for j in frontier
+            for i in range(j + 1, n + 1)
+            if gap_ok(self.gc[t], self.syms[j : i - 1])
+        )
+
+    def start(self, a: int) -> frozenset:
+        return self.posmask[a]
+
+
+def _uni_subtree(fr: _SetFrontier, sigma: int, k: int, a: int):
+    count = 0
+    stack = [(1, fr.start(a), (a,))]
+    while stack:
+        d, frontier, prefix = stack.pop()
+        if not frontier:
+            return (False, prefix + (1,) * (k - d), count + 1)
+        if d == k:
+            count += 1
+            continue
+        base = fr.spread(frontier, d - 1)
+        pending = []
+        for sym in range(1, sigma + 1):
+            pending.append((d + 1, base & fr.posmask[sym], prefix + (sym,)))
+        stack.extend(reversed(pending))
+    return (True, None, count)
+
+
+def _con_subtree(fl: _SetFrontier, fr: _SetFrontier, sigma: int, k: int, a: int):
+    count = 0
+    stack = [(1, fl.start(a), fr.start(a), (a,))]
+    while stack:
+        d, lfro, rfro, prefix = stack.pop()
+        if not lfro:
+            count += sigma ** (k - d)
+            continue
+        if d == k:
+            count += 1
+            if not rfro:
+                return (False, prefix, count)
+            continue
+        lbase = fl.spread(lfro, d - 1)
+        rbase = fr.spread(rfro, d - 1) if rfro else frozenset()
+        pending = []
+        for sym in range(1, sigma + 1):
+            pending.append(
+                (d + 1, lbase & fl.posmask[sym], rbase & fr.posmask[sym], prefix + (sym,))
+            )
+        stack.extend(reversed(pending))
+    return (True, None, count)
+
+
+def _merge_subtrees(results) -> tuple[bool, Optional[tuple[int, ...]], int]:
+    count = 0
+    for ok, witness, c in results:
+        count += c
+        if not ok:
+            return (False, witness, count)
+    return (True, None, count)
+
+
+def reference_universality(w: Word, gc: Sequence[GapConstraint], sigma: int):
+    """Memo-free lexicographic DFS, one subtree per first symbol in order:
+    (decision, witness ids or None, candidates checked)."""
+    k = len(gc) + 1
+    fr = _SetFrontier(w, gc, sigma)
+    subtrees = (_uni_subtree(fr, sigma, k, a) for a in range(1, sigma + 1))
+    return _merge_subtrees(subtrees)
+
+
+def reference_containment(w: Word, w2: Word, gc: Sequence[GapConstraint], sigma: int):
+    """Memo-free containment DFS; same result triple as reference_universality."""
+    k = len(gc) + 1
+    fl, fr = _SetFrontier(w, gc, sigma), _SetFrontier(w2, gc, sigma)
+    subtrees = (_con_subtree(fl, fr, sigma, k, a) for a in range(1, sigma + 1))
+    return _merge_subtrees(subtrees)
+
+
+def reference_equivalence(w: Word, w2: Word, gc: Sequence[GapConstraint], sigma: int):
+    """Containment both ways, counts summed, witness from the failing direction."""
+    ok, witness, c1 = reference_containment(w, w2, gc, sigma)
+    if not ok:
+        return (ok, witness, c1)
+    ok, witness, c2 = reference_containment(w2, w, gc, sigma)
+    return (ok, witness, c1 + c2)

@@ -20,7 +20,15 @@ from gapsub import (
     sigma_star_dfa,
     universality,
 )
-from helpers import brute_lang_k, plain_subsequence_set, random_constraint
+from gapsub import analysis
+from helpers import (
+    brute_lang_k,
+    plain_subsequence_set,
+    random_constraint,
+    reference_containment,
+    reference_equivalence,
+    reference_universality,
+)
 
 AB = Alphabet.from_glyphs("ab")
 
@@ -131,6 +139,70 @@ def test_workers_match_sequential():
     assert (seq.witness is None) == (par.witness is None)
     if seq.witness is not None:
         assert seq.witness.symbols == par.witness.symbols
+
+
+def _report_triple(rep):
+    return (rep.decision, None if rep.witness is None else rep.witness.symbols,
+            rep.candidates_checked)
+
+
+def _memo_instances(seed, count):
+    # short words over small alphabets with k up to 6 repeat frontiers often
+    rng = random.Random(seed)
+    for _ in range(count):
+        sigma = rng.randint(1, 3)
+        k = rng.randint(1, 6 if sigma < 3 else 4)
+        kind = rng.choice(["length", "regular", "reglen"])
+        gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
+        wa = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 14))))
+        wb = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 14))))
+        yield sigma, gc, wa, wb
+
+
+def _check_against_reference(sigma, gc, wa, wb, workers=1):
+    ab = Alphabet(sigma)
+    uni = universality(wa, gc, ab, workers=workers)
+    assert _report_triple(uni) == reference_universality(wa, gc, sigma)
+    con = containment(wa, wb, gc, ab, workers=workers)
+    assert _report_triple(con) == reference_containment(wa, wb, gc, sigma)
+    equ = equivalence(wa, wb, gc, ab, workers=workers)
+    assert _report_triple(equ) == reference_equivalence(wa, wb, gc, sigma)
+    return uni.spreads + con.spreads + equ.spreads
+
+
+def test_memoised_search_matches_plain_dfs(monkeypatch):
+    spreads_memo = [
+        _check_against_reference(*inst) for inst in _memo_instances("memo", 300)
+    ]
+    monkeypatch.setattr(analysis, "MEMO_BITS", 0)
+    spreads_plain = [
+        _check_against_reference(*inst) for inst in _memo_instances("memo", 300)
+    ]
+    # the memo never adds spreads, and it did skip some subtrees
+    assert all(m <= p for m, p in zip(spreads_memo, spreads_plain))
+    assert sum(spreads_memo) < sum(spreads_plain)
+
+
+def test_memoised_search_in_pool_matches_plain_dfs():
+    for inst in _memo_instances("pool", 6):
+        _check_against_reference(*inst, workers=2)
+
+
+def test_unary_universality_needs_no_recursion():
+    # with sigma = 1 the budget allows any k; the search must not recurse
+    k = 3000
+    rep = universality(Word((1,) * k), [LengthGap(0, INF)] * (k - 1), Alphabet(1))
+    assert rep.decision and rep.witness is None and rep.candidates_checked == 1
+    rep = universality(Word((1,) * (k - 1)), [LengthGap(0, INF)] * (k - 1), Alphabet(1))
+    assert not rep.decision and rep.witness.symbols == (1,) * k
+
+
+def test_spreads_count_memo_hits_as_skipped_work():
+    # every binary string of length 12 embeds in (ab)^12 with free gaps;
+    # the frontier after a prefix is fixed by the prefix's greedy end
+    rep = universality(w("ab" * 12), FREE * 11, AB)
+    assert rep.decision and rep.candidates_checked == 2**12
+    assert 0 < rep.spreads < rep.candidates_checked // 20
 
 
 def test_zero_gap_constraints_in_analysis():

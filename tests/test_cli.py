@@ -280,6 +280,28 @@ def test_cli_count(tmp_path, capsys):
     assert code == 1 and out.strip() == "0"
 
 
+def test_cli_dfa_alphabet_boundary(tmp_path, capsys):
+    for n in (1, 3):
+        trans = "".join(f"trans 0 {a} 0\n" for a in range(1, n + 1))
+        (tmp_path / f"s{n}.dfa").write_text(
+            f"states 1\ninitial 0\nfinal 0\nalphabet {n}\n{trans}"
+        )
+        _write_constraints(tmp_path, f"c{n}", f"k 2\nR s{n}.dfa\n")
+    commands = [
+        ["match", "-w", "abab", "-p", "ab"],
+        ["analyze", "uni", "-w", "abab"],
+        ["analyze", "con", "-w", "abab", "-W", "abab"],
+        ["analyze", "equ", "-w", "abab", "-W", "abab"],
+        ["count", "-w", "abab", "-p", "ab"],
+        ["equ-mult", "-w", "abab", "-W", "abab"],
+    ]
+    for argv in commands:
+        # a 3-symbol DFA over a binary session is accepted, a 1-symbol one is not
+        assert run_cli(argv + ["-c", str(tmp_path / "c3")]) == 0, argv
+        assert run_cli(argv + ["-c", str(tmp_path / "c1")]) == 2, argv
+        assert "covers 1 symbols" in capsys.readouterr().err
+
+
 def test_cli_equ_mult(tmp_path, capsys):
     c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
     code = run_cli(["equ-mult", "-w", "abba", "-W", "abab", "-c", c])

@@ -246,3 +246,38 @@ def test_wrap_boundary_preserves_matching(wsyms, psyms):
     inner = match_naive(word, plain)
     outer = match_naive(wrap_word(word), wrapped)
     assert (inner is None) == (outer is None)
+
+
+def test_dfa_alphabet_boundary_in_every_entry_point():
+    from gapsub import (
+        containment,
+        count_embeddings,
+        equivalence,
+        equivalence_with_multiplicities,
+        match,
+        match_naive,
+        parikh_k,
+        universality,
+    )
+
+    word, ab = Word((1, 2, 1, 2)), Alphabet(2)
+
+    def calls(dfa):
+        gc = (RegLenGap(0, 2, dfa),)
+        gs = GappedSequence(Word((1, 2)), gc)
+        return [
+            lambda: match(word, gs),
+            lambda: match_naive(word, gs),
+            lambda: universality(word, gc, ab),
+            lambda: containment(word, word, gc, ab),
+            lambda: equivalence(word, word, gc, ab),
+            lambda: count_embeddings(word, gs),
+            lambda: parikh_k(word, gc, ab),
+            lambda: equivalence_with_multiplicities(word, word, gc),
+        ]
+
+    # a DFA over more symbols than the word uses is fine
+    assert [bool(call()) for call in calls(sigma_star_dfa(3))] == [True] * 8
+    for call in calls(sigma_star_dfa(1)):
+        with pytest.raises(InputError, match="covers 1 symbols"):
+            call()
