@@ -152,30 +152,3 @@ def product_shortest_accepted(a: Dfa, b: Dfa, maxlen: int) -> Optional[Word]:
             frontier.append((nxt, depth + 1))
     return None
 
-
-class CountingNfa:
-    """NFA whose accepting paths labelled p correspond one-to-one to embeddings.
-
-    States are pairs (i, j): position i of the word holds the j-th pattern
-    symbol.  The initial state is (0, 0), finals are the states with j = k,
-    and a dead error state absorbs every otherwise-undefined transition.
-    """
-
-    __slots__ = ("states", "initial", "finals", "transitions", "num_symbols")
-
-    def __init__(
-        self,
-        states: tuple[tuple[int, int], ...],
-        initial: tuple[int, int],
-        finals: frozenset[tuple[int, int]],
-        transitions: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], ...]],
-        num_symbols: int,
-    ) -> None:
-        self.states = states
-        self.initial = initial
-        self.finals = frozenset(finals)
-        self.transitions = transitions
-        self.num_symbols = num_symbols
-
-    def successors(self, state: tuple[int, int], sym: int) -> tuple[tuple[int, int], ...]:
-        return self.transitions.get((state, sym), ())

@@ -464,9 +464,11 @@ def bench_instance(
     """Seeded instance built to match, so every gap step does real work.
 
     algo names the constraint class of the gaps: length, regular or
-    reglen.  Pattern and constraints depend only on (seed, k, states):
-    sizes in a sweep share one instance shape and differ just in the word,
-    keeping timing ratios free of shape-to-shape variance.
+    reglen.  reglen gaps have the real window [4, 64], so they time the
+    windowed DFA sweep rather than the vacuous-window one.  Pattern and
+    constraints depend only on (seed, k, states): sizes in a sweep share
+    one instance shape and differ just in the word, keeping timing ratios
+    free of shape-to-shape variance.
     """
     sigma = 2
     shape = random.Random(f"shape:{seed}:{k}:{states}:{algo}")
@@ -478,7 +480,7 @@ def bench_instance(
         elif algo == "regular":
             cons.append(RegularGap(_bench_dfa(states, sigma, shape)))
         else:
-            cons.append(RegLenGap(0, INF, _bench_dfa(states, sigma, shape)))
+            cons.append(RegLenGap(4, 64, _bench_dfa(states, sigma, shape)))
     wrng = random.Random(f"word:{seed}:{n}")
     syms = tuple(wrng.randint(1, sigma) for _ in range(n))
     return Word(syms), GappedSequence(Word(p), tuple(cons))

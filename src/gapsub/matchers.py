@@ -29,11 +29,20 @@ match_naive is the reference implementation match is tested against: a
 per-symbol DP that streams the constraint DFA from every start.  The
 analyses in analysis.py spread their frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
+
+GapStep.reach_counts is the count-valued twin of reach that all counting
+in multiplicity.py goes through: out[i] sums vec[j] over the positions j
+that reach i.  Zero and length windows take one prefix-sum difference,
+O(n); DFA gaps take one sweep carrying a count per DFA state, O(n states),
+where under a real window a start's count enters after lo symbols and
+leaves after hi+1, at the DFA states the merged traces give for it then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Optional
 
 from .core import (
@@ -220,9 +229,10 @@ class GapStep:
 
     reach(mask) maps a mask of positions j to the mask of positions i in
     1..n such that the gap w[j+1..i-1] satisfies the constraint for some
-    j in mask; pred(mask, i) is the least such j.  Built once per (word,
-    normalized constraint) and reused for every mask.  DFA state sets are
-    ints with bit q for state q.
+    j in mask; pred(mask, i) is the least such j.  reach_counts(vec) is
+    its count-valued twin: out[i] is the sum of vec[j] over those j.
+    Built once per (word, normalized constraint) and reused for every
+    mask.  DFA state sets are ints with bit q for state q.
     """
 
     def __init__(self, syms: tuple[int, ...], c) -> None:
@@ -346,6 +356,82 @@ class GapStep:
                     nxt[move[q]] = t
             entries = nxt
         return _from_flags(out)
+
+    def reach_counts(self, vec: list[int]) -> list[int]:
+        """out[i] = sum of vec[j] over the j < i whose gap w[j+1..i-1] satisfies
+        the constraint, for i in 1..n; vec and out are indexed 0..n, out[0] = 0."""
+        n, lo = self.n, self.lo
+        if self.dfa is not None:
+            return self._count_sweep(vec)
+        m = n - lo  # out[lo+1..n] can be non-zero
+        if m <= 0:
+            return [0] * (n + 1)
+        span = self.hi - lo
+        pre = list(accumulate(vec[:m], initial=0))  # pre[u] = vec[0] + ... + vec[u-1]
+        # out[lo+u] = pre[u] - pre[max(u-span-1, 0)], for u in 1..m
+        lower = [0] * min(span + 1, m) + pre[1 : m - span]
+        return [0] * (lo + 1) + list(map(sub, pre[1:], lower))
+
+    def _count_sweep(self, vec: list[int]) -> list[int]:
+        """DFA gaps: one left-to-right sweep carrying a count per DFA state.
+
+        cnt[q] sums vec[j] over the open starts j whose gap so far is at
+        state q.  A start enters after lo symbols; under a real window it
+        leaves again after hi+1 symbols.  Both moments need the start's
+        DFA state then, which the merged traces of _window_sweep give.
+        """
+        n, lo, hi, windowed = self.n, self.lo, self.hi, self.windowed
+        q0 = self.dfa.initial
+        finals = tuple(self.dfa.finals)
+        moves, syms = self.moves, self.syms
+        first = next((j for j, x in enumerate(vec) if x), n)
+        parent: dict[int, int] = {}  # start -> start whose trace it joined
+        state: dict[int, int] = {}  # root start -> its trace's current state
+        traces: dict[int, int] = {}  # state -> root start of the trace there
+
+        def state_of(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            return state[j]
+
+        cnt = [0] * self.dfa.num_states
+        out = [0] * (n + 1)
+        # column c: every open gap has read w[..c]; the next symbol is at c+1
+        for c in range(first, n):
+            if not windowed:
+                cnt[q0] += vec[c]
+            else:
+                if vec[c]:
+                    root = traces.get(q0)
+                    if root is None:
+                        traces[q0] = parent[c] = c
+                        state[c] = q0
+                    else:
+                        parent[c] = root
+                j = c - lo
+                if j >= first and vec[j]:
+                    cnt[state_of(j)] += vec[j]
+                j = c - hi - 1
+                if j >= first and vec[j]:
+                    cnt[state_of(j)] -= vec[j]
+            out[c + 1] = sum([cnt[q] for q in finals])
+            move = moves[syms[c]]
+            nxt = [0] * len(cnt)
+            for q, q2 in enumerate(move):
+                nxt[q2] += cnt[q]
+            cnt = nxt
+            if windowed:
+                nxt_traces: dict[int, int] = {}
+                for q, root in traces.items():
+                    q2 = move[q]
+                    other = nxt_traces.get(q2)
+                    if other is None:
+                        nxt_traces[q2] = root
+                        state[root] = q2
+                    else:
+                        parent[root] = other
+                traces = nxt_traces
+        return out
 
     def pred(self, mask: int, i: int) -> int:
         """Least j in mask whose gap up to position i satisfies the constraint."""

@@ -1,56 +1,44 @@
 """Embedding multiplicities: exact counts and count-preserving equivalence.
 
 Two words are multiplicity-equivalent when every length-k string embeds
-in both the same number of times.  Counting happens two ways that must
-agree: a direct dynamic program over one pattern, and accepting-path
-counts of a counting automaton whose paths labelled p correspond
-one-to-one to the embeddings of p.  Equivalence of two counting automata
-is decided exactly, without enumerating strings, by a basis computation
-over the reachable path-count vectors; arithmetic is integer and exact,
-so counts beyond machine range are handled verbatim.
+in both the same number of times.  Counts move from one pattern symbol
+to the next through GapStep.reach_counts, the count-valued gap step of
+matchers.py, and a filter on the next symbol; this module has no gap walk
+of its own.  count_embeddings takes that step once per gap, parikh_k once
+per node of its search over prefixes, and CountingNfa.step once per
+symbol on a path-count vector of the counting automaton, whose paths
+labelled p correspond one-to-one to the embeddings of p.  Equivalence of
+two counting automata is decided exactly, without enumerating strings, by
+a basis computation over the reachable path-count vectors (Tzeng, SIAM J.
+Comput. 1992); arithmetic is integer and exact, so counts beyond machine
+range are handled verbatim.  The witness of a difference is the least
+length-k string, in lexicographic order, whose counts differ.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from .analysis import DEFAULT_BUDGET
-from .automata import CountingNfa
 from .core import (
     Alphabet,
     BudgetError,
     GappedSequence,
     Word,
     check_dfa_alphabet,
-    constraint_dfa,
-    constraint_window,
     normalize,
     normalize_constraints,
 )
+from .matchers import GapStep, _iter_bits
 
 
-def _next_positions(syms: tuple[int, ...], n: int, c, j: int) -> list[int]:
-    """Positions i > j that can host the next matched symbol: the gap
-    w[j+1..i-1] satisfies c.  Symbol agreement is the caller's business."""
-    lo, hi = constraint_window(c, n)
-    dfa = constraint_dfa(c)
-    if dfa is None:
-        return list(range(j + 1 + lo, min(n, j + 1 + hi) + 1))
-    out = []
-    q = dfa.initial
-    table, finals = dfa.table, dfa.finals
-    if lo == 0 and q in finals and j + 1 <= n:
-        out.append(j + 1)
-    for e in range(j + 1, n + 1):
-        glen = e - j
-        if glen > hi:
-            break
-        q = table[q][syms[e - 1] - 1]
-        if glen >= lo and q in finals and e + 1 <= n:
-            out.append(e + 1)
-    return out
+def _indicators(syms: tuple[int, ...]) -> dict[int, list[int]]:
+    """Per symbol a of the word, the 0/1 list over positions 0..n holding a."""
+    return {a: [0] + [int(s == a) for s in syms] for a in set(syms)}
 
 
 def count_embeddings(w: Word, gs: GappedSequence) -> int:
@@ -62,23 +50,17 @@ def count_embeddings(w: Word, gs: GappedSequence) -> int:
     if infeasible:
         return 0
     syms = w.symbols
-    n = len(syms)
     p = gs.pattern.symbols
-    cur = [0] * (n + 1)
-    for i in range(1, n + 1):
-        if syms[i - 1] == p[0]:
-            cur[i] = 1
-    for t in range(1, len(p)):
-        c = gs.constraints[t - 1]
-        a = p[t]
-        nxt = [0] * (n + 1)
-        for j in range(1, n + 1):
-            cj = cur[j]
-            if cj:
-                for i in _next_positions(syms, n, c, j):
-                    if syms[i - 1] == a:
-                        nxt[i] += cj
-        cur = nxt
+    at = _indicators(syms)
+    if p[0] not in at:
+        return 0
+    cur = at[p[0]]
+    for c, a in zip(gs.constraints, p[1:]):
+        if a not in at:
+            return 0
+        cur = list(map(mul, GapStep(syms, c).reach_counts(cur), at[a]))
+        if not any(cur):
+            return 0
     return sum(cur)
 
 
@@ -105,86 +87,116 @@ def parikh_k(
     if infeasible:
         return out
     syms = w.symbols
-    n = len(syms)
+    at = _indicators(syms)
+    present = [a for a in range(1, sigma + 1) if a in at]
+    steps = [GapStep(syms, c) for c in gc]
 
     def rec(d: int, counts: list[int], prefix: tuple[int, ...]) -> None:
         if d == k:
-            mass = sum(counts)
-            if mass:
-                out[Word(prefix)] = mass
+            out[Word(prefix)] = sum(counts)
             return
-        c = gc[d - 1]
-        spread = [0] * (n + 1)
-        for j in range(1, n + 1):
-            cj = counts[j]
-            if cj:
-                for i in _next_positions(syms, n, c, j):
-                    spread[i] += cj
-        for a in range(1, sigma + 1):
-            nxt = [0] * (n + 1)
-            alive = False
-            for i in range(1, n + 1):
-                if syms[i - 1] == a and spread[i]:
-                    nxt[i] = spread[i]
-                    alive = True
-            if alive:
+        spread = steps[d - 1].reach_counts(counts)
+        for a in present:
+            nxt = list(map(mul, spread, at[a]))
+            if any(nxt):
                 rec(d + 1, nxt, prefix + (a,))
 
-    for a in range(1, sigma + 1):
-        counts0 = [0] * (n + 1)
-        alive = False
-        for i in range(1, n + 1):
-            if syms[i - 1] == a:
-                counts0[i] = 1
-                alive = True
-        if alive:
-            rec(1, counts0, (a,))
+    for a in present:
+        rec(1, at[a], (a,))
     return out
 
 
-def build_counting_nfa(w: Word, gc) -> CountingNfa:
-    """Counting automaton of w under gc.
+class CountingNfa:
+    """NFA whose accepting paths labelled p correspond one-to-one to embeddings.
 
-    States (i, j) mean position i carries the j-th pattern symbol; the
-    initial state is (0, 0) and transitions out of it skip the gap check
-    because the prefix before the first matched position is free.  Every
-    otherwise-undefined transition goes to the dead error state, which
-    loops on all symbols and is not final.
+    States are pairs (i, j): position i of the word holds the j-th pattern
+    symbol.  The initial state is (0, 0), finals are the states with j = k,
+    and a dead error state (n+1, k+1) absorbs every otherwise-undefined
+    transition; transitions out of (0, 0) skip the gap check because the
+    prefix before the first matched position is free.
+
+    The automaton is held as the word, its normalized constraints and one
+    GapStep per constraint.  A count vector (j, counts) gives the number of
+    paths ending in each state (i, j) of one layer j, counts indexed by i
+    in 0..n; step moves it on by one symbol through the gap kernel.
+    transitions and successors list the explicit transition relation,
+    built on first access.
     """
-    gc = tuple(gc)
-    n = len(w)
-    k = len(gc) + 1
-    syms = w.symbols
-    sigma = max(syms, default=1)
-    check_dfa_alphabet(gc, sigma)
-    gcn, _ = normalize_constraints(gc, n)
-    error = (n + 1, k + 1)
-    states: list[tuple[int, int]] = [(0, 0)]
-    states.extend((i, j) for i in range(1, n + 1) for j in range(1, k + 1))
-    states.append(error)
-    transitions: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], ...]] = {}
-    occs: dict[int, list[int]] = {}
-    for i, a in enumerate(syms, start=1):
-        occs.setdefault(a, []).append(i)
-    for a in range(1, sigma + 1):
-        targets = tuple((i, 1) for i in occs.get(a, ()))
-        transitions[((0, 0), a)] = targets if targets else (error,)
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            for a in range(1, sigma + 1):
+
+    def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
+        self.word = word
+        self.constraints = constraints
+        self.num_symbols = num_symbols
+        self.k = len(constraints) + 1
+        self.steps = [GapStep(word.symbols, c) for c in constraints]
+        self.initial = (0, 0)
+        self._at = _indicators(word.symbols)
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, int], ...]:
+        n, k = len(self.word), self.k
+        inner = ((i, j) for i in range(1, n + 1) for j in range(1, k + 1))
+        return ((0, 0), *inner, (n + 1, k + 1))
+
+    @cached_property
+    def finals(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, self.k) for i in range(1, len(self.word) + 1))
+
+    @cached_property
+    def transitions(self) -> dict[tuple[tuple[int, int], int], tuple[tuple[int, int], ...]]:
+        syms, n, k = self.word.symbols, len(self.word), self.k
+        symbols = range(1, self.num_symbols + 1)
+        error = (n + 1, k + 1)
+        out = {}
+        for a in symbols:
+            out[((0, 0), a)] = tuple((i, 1) for i in range(1, n + 1) if syms[i - 1] == a)
+        for i in range(1, n + 1):
+            for j in range(1, k + 1):
+                by_symbol: dict[int, list[tuple[int, int]]] = {}
                 if j < k:
-                    nxt = tuple(
-                        (i2, j + 1)
-                        for i2 in _next_positions(syms, n, gcn[j - 1], i)
-                        if syms[i2 - 1] == a
-                    )
-                else:
-                    nxt = ()
-                transitions[((i, j), a)] = nxt if nxt else (error,)
-    for a in range(1, sigma + 1):
-        transitions[(error, a)] = (error,)
-    finals = frozenset((i, k) for i in range(1, n + 1))
-    return CountingNfa(tuple(states), (0, 0), finals, transitions, sigma)
+                    for i2 in _iter_bits(self.steps[j - 1].reach(1 << i)):
+                        by_symbol.setdefault(syms[i2 - 1], []).append((i2, j + 1))
+                for a in symbols:
+                    out[((i, j), a)] = tuple(by_symbol.get(a, ()))
+        for key, targets in out.items():
+            if not targets:
+                out[key] = (error,)
+        for a in symbols:
+            out[(error, a)] = (error,)
+        return out
+
+    def successors(self, state: tuple[int, int], sym: int) -> tuple[tuple[int, int], ...]:
+        return self.transitions.get((state, sym), ())
+
+    def start(self) -> tuple[int, list[int]]:
+        """The count vector of the empty prefix: one path, in (0, 0)."""
+        return (0, [1] + [0] * len(self.word))
+
+    def step(
+        self, vec: Optional[tuple[int, list[int]]], a: int
+    ) -> Optional[tuple[int, list[int]]]:
+        """Path counts after one more symbol a, or None once only the error
+        state (which never accepts) is reached."""
+        if vec is None or vec[0] == self.k or a not in self._at:
+            return None
+        j, counts = vec
+        if j == 0:
+            spread = [counts[0]] * len(counts)
+        else:
+            spread = self.steps[j - 1].reach_counts(counts)
+        return (j + 1, list(map(mul, spread, self._at[a])))
+
+    def accepted(self, vec: Optional[tuple[int, list[int]]]) -> int:
+        """Paths of vec that end in a final state."""
+        return sum(vec[1]) if vec is not None and vec[0] == self.k else 0
+
+
+def build_counting_nfa(w: Word, gc) -> CountingNfa:
+    """Counting automaton of w under gc (see CountingNfa)."""
+    gc = tuple(gc)
+    check_dfa_alphabet(gc, max(w.symbols, default=1))
+    gcn, _ = normalize_constraints(gc, len(w))
+    return CountingNfa(w, gcn, max(w.symbols, default=1))
 
 
 def _insert_basis(vec: dict[int, int], basis: dict[int, dict[int, int]]) -> bool:
@@ -221,45 +233,34 @@ def path_equivalent(
     per state of the disjoint union.  A vector already in the span of the
     basis adds nothing (path counts are linear in the vector), so only
     independent vectors, at most one per union state, spawn successors;
-    the signed final-state sum must vanish on each.  Returns the decision
-    and, when counts differ, a word witnessing the difference.
+    the difference of the accepted counts must vanish on each.  The error
+    states never accept, so their counts are left out.  Returns the
+    decision and, when counts differ, the first string in length-then-
+    lexicographic order whose counts differ.
     """
     sigma = max(n1.num_symbols, n2.num_symbols)
-    idx: dict[tuple[int, tuple[int, int]], int] = {}
-    owner: list[tuple[int, CountingNfa, tuple[int, int]]] = []
-    for tag, nfa in ((0, n1), (1, n2)):
-        for s in nfa.states:
-            idx[(tag, s)] = len(owner)
-            owner.append((tag, nfa, s))
-    sign = [0] * len(owner)
-    for s in n1.finals:
-        sign[idx[(0, s)]] += 1
-    for s in n2.finals:
-        sign[idx[(1, s)]] -= 1
+    offset2 = (n1.k + 1) * (len(n1.word) + 1)
 
-    def diff(v: dict[int, int]) -> int:
-        return sum(c * sign[i] for i, c in v.items())
-
-    def step(v: dict[int, int], a: int) -> dict[int, int]:
+    def flat(v1, v2) -> dict[int, int]:
+        # coordinate of state (i, j) in the union: j * (n + 1) + i, then offset2
         out: dict[int, int] = {}
-        for i, c in v.items():
-            tag, nfa, s = owner[i]
-            for t in nfa.transitions.get((s, a), ()):
-                j = idx[(tag, t)]
-                out[j] = out.get(j, 0) + c
+        for vec, base in ((v1, 0), (v2, offset2)):
+            if vec is not None:
+                j, counts = vec
+                base += j * len(counts)
+                out.update({base + i: c for i, c in enumerate(counts) if c})
         return out
 
-    v0 = {idx[(0, n1.initial)]: 1, idx[(1, n2.initial)]: 1}
     basis: dict[int, dict[int, int]] = {}
-    queue: deque[tuple[tuple[int, ...], dict[int, int]]] = deque([((), v0)])
+    queue: deque[tuple[tuple[int, ...], tuple]] = deque([((), (n1.start(), n2.start()))])
     while queue:
-        word, v = queue.popleft()
-        if not _insert_basis(v, basis):
+        word, (v1, v2) = queue.popleft()
+        if not _insert_basis(flat(v1, v2), basis):
             continue
-        if diff(v) != 0:
+        if n1.accepted(v1) != n2.accepted(v2):
             return (False, Word(word))
         for a in range(1, sigma + 1):
-            queue.append((word + (a,), step(v, a)))
+            queue.append((word + (a,), (n1.step(v1, a), n2.step(v2, a))))
     return (True, None)
 
 

@@ -23,6 +23,7 @@ from gapsub import (
     sigma_star_dfa,
     verify_embedding,
 )
+from gapsub.core import constraint_allows
 from gapsub.matchers import GapStep
 from helpers import (
     brute_embeddings,
@@ -151,6 +152,35 @@ def test_dfa_gap_step_matches_quadratic_reference(data):
         if feasible and feasible[0] >= 1:
             assert step.pred(mask, i) == feasible[0]
     assert got >> (n + 1) == 0 and got & 1 == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reach_counts_matches_quadratic_reference(data):
+    kind = data.draw(st.sampled_from(["zero", "length", "regular", "reglen"]))
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    n = rng.randint(0, 14)
+    sigma = rng.randint(1, 3)
+    syms = tuple(rng.randint(1, sigma) for _ in range(n))
+    lo = rng.randint(0, n + 1)
+    hi = INF if rng.random() < 0.2 else lo + rng.randint(0, n)
+    dfa = random_dfa(rng, rng.randint(1, 4), sigma)
+    c = {
+        "zero": ZeroGap(),
+        "length": LengthGap(lo, hi),
+        "regular": RegularGap(dfa),
+        "reglen": RegLenGap(lo, hi, dfa),
+    }[kind]
+    vec = [rng.choice((0, 0, 1, 3, 2**64 + rng.randint(1, 2**70))) for _ in range(n + 1)]
+    step = GapStep(syms, c)
+    got = step.reach_counts(vec)
+    want = [0] + [
+        sum(vec[j] for j in range(i) if constraint_allows(c, syms[j : i - 1]))
+        for i in range(1, n + 1)
+    ]
+    assert got == want
+    support = sum(1 << j for j, x in enumerate(vec) if x)
+    assert sum(1 << i for i, x in enumerate(got) if x) == step.reach(support)
 
 
 def test_equality_system_classes():

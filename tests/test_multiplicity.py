@@ -81,7 +81,7 @@ def test_parikh_agrees_with_bruteforce(data):
     n = rng.randint(0, 9)
     word = Word(tuple(rng.randint(1, sigma) for _ in range(n)))
     k = rng.randint(1, 3)
-    kind = rng.choice(["length", "regular"])
+    kind = rng.choice(["length", "regular", "reglen"])
     gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
     want = brute_parikh(word, gc, sigma, k)
     got = {kk.symbols: v for kk, v in parikh_k(word, gc, ab).items()}
@@ -116,11 +116,16 @@ def test_counting_nfa_paths_equal_embedding_counts(data):
     n = rng.randint(1, 8)
     word = Word(tuple(rng.randint(1, sigma) for _ in range(n)))
     k = rng.randint(1, 3)
-    gc = tuple(random_constraint(rng, "length", sigma) for _ in range(k - 1))
+    kind = rng.choice(["length", "regular", "reglen"])
+    gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
     nfa = build_counting_nfa(word, gc)
     for p in itertools.product(range(1, sigma + 1), repeat=k):
-        gs = GappedSequence(Word(p), gc)
-        assert _count_paths(nfa, p) == count_embeddings(word, gs)
+        want = count_embeddings(word, GappedSequence(Word(p), gc))
+        assert _count_paths(nfa, p) == want
+        vec = nfa.start()
+        for a in p:
+            vec = nfa.step(vec, a)
+        assert nfa.accepted(vec) == want
 
 
 def test_counting_nfa_rejects_other_lengths():
@@ -160,17 +165,20 @@ def test_equivalence_with_multiplicities_oracle(data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
     sigma = rng.randint(1, 3)
     k = rng.randint(1, 3)
-    kind = rng.choice(["length", "regular"])
+    kind = rng.choice(["length", "regular", "reglen"])
     gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
     wa = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(1, 8))))
     wb = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(1, 8))))
-    want = brute_parikh(wa, gc, sigma, k) == brute_parikh(wb, gc, sigma, k)
+    pa = brute_parikh(wa, gc, sigma, k)
+    pb = brute_parikh(wb, gc, sigma, k)
+    differ = [
+        p for p in itertools.product(range(1, sigma + 1), repeat=k)
+        if pa.get(p, 0) != pb.get(p, 0)
+    ]
     ok, wit = equivalence_with_multiplicities(wa, wb, gc)
-    assert ok == want
-    if not ok:
-        pa = brute_parikh(wa, gc, sigma, k)
-        pb = brute_parikh(wb, gc, sigma, k)
-        assert pa.get(wit.symbols, 0) != pb.get(wit.symbols, 0)
+    assert ok == (not differ)
+    # the witness is canonical: the least length-k string whose counts differ
+    assert (wit is None) if ok else (wit.symbols == differ[0])
 
 
 def test_exactness_beyond_64_bits():
