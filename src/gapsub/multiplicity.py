@@ -270,7 +270,7 @@ def equivalence_with_multiplicities(
     """Multiplicity equivalence of two words under shared constraints.
 
     Builds both counting automata and compares accepting-path counts; the
-    witness, when counts differ, is a length-k string whose embedding
-    counts disagree.
+    witness, when counts differ, is the lexicographically least length-k
+    string whose embedding counts disagree.
     """
     return path_equivalent(build_counting_nfa(w, gc), build_counting_nfa(w2, gc))
