@@ -109,10 +109,6 @@ def _check_budget(sigma: int, k: int, budget: int) -> None:
 
 def _prepare(w: Word, gc, alphabet: Alphabet):
     alphabet.validate_word(w)
-    gc = tuple(gc)
-    for c in gc:
-        if not isinstance(c, GapConstraint.__args__):
-            raise InputError(f"not a gap constraint: {c!r}")
     norm, _ = normalize_constraints(gc, len(w))
     return norm
 

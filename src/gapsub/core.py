@@ -225,7 +225,7 @@ def constraint_allows(c: GapConstraint, gap: Iterable[int]) -> bool:
         return c.dfa.run(gap)
     if isinstance(c, RegLenGap):
         return c.lo <= len(gap) <= c.hi and c.dfa.run(gap)
-    raise UsageError(f"unknown constraint {c!r}")
+    raise InputError(f"not a gap constraint: {c!r}")
 
 
 def _constraint_size(c: GapConstraint) -> int:
@@ -352,7 +352,9 @@ def normalize_constraints(
 
     Upper bounds become min(hi, n); a (0,0) window becomes ZeroGap; the
     infeasible flag is set when some lower bound exceeds n (that constraint
-    can never be met inside a word of length n).
+    can never be met inside a word of length n).  Every entry point calls
+    this, so it is where an object that is not a gap constraint raises
+    InputError.
     """
     out: list[GapConstraint] = []
     infeasible = False
@@ -372,8 +374,10 @@ def normalize_constraints(
             hi = n if c.hi == INF else min(int(c.hi), n)
             hi = max(hi, c.lo)
             out.append(RegLenGap(c.lo, hi, c.dfa))
-        else:
+        elif isinstance(c, (ZeroGap, RegularGap)):
             out.append(c)
+        else:
+            raise InputError(f"not a gap constraint: {c!r}")
     return NormalizedConstraints(tuple(out), infeasible)
 
 

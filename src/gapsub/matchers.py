@@ -16,9 +16,10 @@ the constraint alone:
 - zero or length window   shift plus a doubling or-spread
 - DFA, vacuous window     one sweep over sets of DFA states, with subset
                           images memoised per symbol, O(n) per gap
-- DFA with a real window  one sweep of merged DFA traces, giving each
-                          start's state after lo symbols, and per state
-                          the latest such entry, O(n states) per gap
+- DFA with a real window  one sweep of merged DFA traces (_Traces),
+                          giving each start's state after lo symbols, and
+                          per state the latest such entry, O(n states) per
+                          gap; it stops hi+1 symbols after the last start
 
 The witness is canonical: the leftmost end of the last block, then for
 each gap, right to left, the least feasible predecessor (a masked lowest
@@ -35,7 +36,14 @@ in multiplicity.py goes through: out[i] sums vec[j] over the positions j
 that reach i.  Zero and length windows take one prefix-sum difference,
 O(n); DFA gaps take one sweep carrying a count per DFA state, O(n states),
 where under a real window a start's count enters after lo symbols and
-leaves after hi+1, at the DFA states the merged traces give for it then.
+leaves after hi+1, at the DFA states _Traces gives for it then.
+
+match_with_equalities backtracks over the common lengths of gap-length
+equality classes (NP-hard).  It prunes with forward and backward masks
+built by the length gap step's or-spread: the lengths gap g can take in
+an embedding that ignores the equalities are exactly the l for which the
+ends of the first g symbols' matches, shifted by l+1, meet the starts of
+the rest's matches.
 """
 
 from __future__ import annotations
@@ -224,6 +232,60 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     return Embedding(tuple(pos))
 
 
+class _Traces:
+    """Starts of one DFA gap merged by their traces, for the windowed sweeps.
+
+    The trace of a start j is its DFA state after w[j+1..c], c the sweep's
+    column.  Traces that meet stay together (the DFA is deterministic), so
+    at most one live trace per state exists; union-find over the starts
+    keeps which trace each start joined.
+    """
+
+    __slots__ = ("q0", "parent", "state", "live")
+
+    def __init__(self, q0: int) -> None:
+        self.q0 = q0
+        self.parent: dict[int, int] = {}  # start -> start whose trace it joined
+        self.state: dict[int, int] = {}  # root start -> its trace's current state
+        self.live: dict[int, int] = {}  # state -> root start of the trace there
+
+    def add(self, c: int) -> None:
+        """Open a trace for start c, at the initial state."""
+        root = self.live.get(self.q0)
+        if root is None:
+            self.live[self.q0] = self.parent[c] = c
+            self.state[c] = self.q0
+        else:
+            self.parent[c] = root
+
+    def state_of(self, j: int) -> int:
+        """The current state of the trace start j joined."""
+        parent = self.parent
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return self.state[j]
+
+    def reset(self) -> None:
+        """Drop every trace: no start added so far is asked about again."""
+        self.parent.clear()
+        self.state.clear()
+        self.live = {}
+
+    def advance(self, move: tuple[int, ...]) -> None:
+        """Every live trace reads one symbol; move[q] is the state after q."""
+        parent, state = self.parent, self.state
+        nxt: dict[int, int] = {}
+        for q, root in self.live.items():
+            q2 = move[q]
+            other = nxt.get(q2)
+            if other is None:
+                nxt[q2] = root
+                state[root] = q2
+            else:
+                parent[root] = other
+        self.live = nxt
+
+
 class GapStep:
     """Which positions can follow which across one gap constraint, in one word.
 
@@ -303,54 +365,40 @@ class GapStep:
     def _window_sweep(self, mask: int) -> int:
         """Real window [lo, hi]: one sweep with two kinds of DFA traces.
 
-        The trace of a start j is its DFA state after w[j+1..c].  Traces
-        that meet stay together (the DFA is deterministic), so at most one
-        live trace per state exists; union-find keeps which trace each
-        start joined, giving the state of start j after exactly lo symbols.
-        That state enters a second set of traces, where each state keeps
-        only its latest entry: a later entry is never worse against hi.
+        _Traces gives the state of each start j after exactly lo symbols;
+        the traces only move while some start has not got there yet.  That
+        state enters a second set of traces, where each state keeps only
+        its latest entry: a later entry is never worse against hi.  No end
+        lies past the last start plus hi+1, so the sweep stops there.
         """
         n, lo, span = self.n, self.lo, self.hi - self.lo
-        q0 = self.dfa.initial
         fin = self.fin
         first = _lowest_bit(mask)
         flags = _flags(mask, n + 1)
-        parent: dict[int, int] = {}  # start -> start whose trace it joined
-        state: dict[int, int] = {}  # root start -> its trace's current state
-        traces: dict[int, int] = {}  # state -> root start of the trace there
+        traces = _Traces(self.dfa.initial)
+        add, state_of, advance = traces.add, traces.state_of, traces.advance
+        due = -1  # the column where the latest start has read lo symbols
         entries: dict[int, int] = {}  # state -> latest column entering it
         out = bytearray(n + 1)
         # column c: every open gap has read w[..c]; the next symbol is at c+1
-        for c in range(first, n):
+        for c in range(first, min(n, mask.bit_length() + self.hi)):
             if flags[c]:
-                root = traces.get(q0)
-                if root is None:
-                    traces[q0] = parent[c] = c
-                    state[c] = q0
-                else:
-                    parent[c] = root
+                add(c)
+                due = c + lo
             j = c - lo
             if j >= first and flags[j]:
-                while parent[j] != j:
-                    parent[j] = j = parent[parent[j]]
-                entries[state[j]] = c
+                entries[state_of(j)] = c
             cut = c - span
             for q, t in entries.items():
                 if t >= cut and fin >> q & 1:
                     out[c + 1] = 1
                     break
             move = self.moves[self.syms[c]]
+            if c < due:
+                advance(move)
+            elif c == due:
+                traces.reset()
             nxt: dict[int, int] = {}
-            for q, root in traces.items():
-                q2 = move[q]
-                other = nxt.get(q2)
-                if other is None:
-                    nxt[q2] = root
-                    state[root] = q2
-                else:
-                    parent[root] = other
-            traces = nxt
-            nxt = {}
             for q, t in entries.items():
                 if t > cut and nxt.get(move[q], -1) < t:
                     nxt[move[q]] = t
@@ -378,59 +426,43 @@ class GapStep:
         cnt[q] sums vec[j] over the open starts j whose gap so far is at
         state q.  A start enters after lo symbols; under a real window it
         leaves again after hi+1 symbols.  Both moments need the start's
-        DFA state then, which the merged traces of _window_sweep give.
+        DFA state then, which _Traces gives; the traces only move while
+        some start is open.  The sweep stops when the last start leaves.
         """
         n, lo, hi, windowed = self.n, self.lo, self.hi, self.windowed
         q0 = self.dfa.initial
         finals = tuple(self.dfa.finals)
         moves, syms = self.moves, self.syms
         first = next((j for j, x in enumerate(vec) if x), n)
-        parent: dict[int, int] = {}  # start -> start whose trace it joined
-        state: dict[int, int] = {}  # root start -> its trace's current state
-        traces: dict[int, int] = {}  # state -> root start of the trace there
-
-        def state_of(j: int) -> int:
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            return state[j]
-
+        last = next((j for j in range(n, first, -1) if vec[j]), first)
+        traces = _Traces(q0)
+        due = -1  # the column where the latest start leaves
         cnt = [0] * self.dfa.num_states
         out = [0] * (n + 1)
         # column c: every open gap has read w[..c]; the next symbol is at c+1
-        for c in range(first, n):
+        for c in range(first, min(n, last + hi + 1)):
             if not windowed:
                 cnt[q0] += vec[c]
             else:
                 if vec[c]:
-                    root = traces.get(q0)
-                    if root is None:
-                        traces[q0] = parent[c] = c
-                        state[c] = q0
-                    else:
-                        parent[c] = root
+                    traces.add(c)
+                    due = c + hi + 1
                 j = c - lo
                 if j >= first and vec[j]:
-                    cnt[state_of(j)] += vec[j]
+                    cnt[traces.state_of(j)] += vec[j]
                 j = c - hi - 1
                 if j >= first and vec[j]:
-                    cnt[state_of(j)] -= vec[j]
+                    cnt[traces.state_of(j)] -= vec[j]
             out[c + 1] = sum([cnt[q] for q in finals])
             move = moves[syms[c]]
             nxt = [0] * len(cnt)
             for q, q2 in enumerate(move):
                 nxt[q2] += cnt[q]
             cnt = nxt
-            if windowed:
-                nxt_traces: dict[int, int] = {}
-                for q, root in traces.items():
-                    q2 = move[q]
-                    other = nxt_traces.get(q2)
-                    if other is None:
-                        nxt_traces[q2] = root
-                        state[root] = q2
-                    else:
-                        parent[root] = other
-                traces = nxt_traces
+            if c < due:
+                traces.advance(move)
+            elif c == due:
+                traces.reset()
         return out
 
     def pred(self, mask: int, i: int) -> int:
@@ -541,136 +573,64 @@ class EqualitySystem:
         return all(len(e.gap(w, a)) == len(e.gap(w, b)) for a, b in self.pairs)
 
 
-def _reachable_ends(syms: tuple[int, ...], gs: GappedSequence) -> list[list[int]]:
-    """Per pattern index j (1-based), the sorted end positions of partial
-    matches of the length-j prefix.  Index 0 is unused."""
-    n = len(syms)
-    p = gs.pattern.symbols
-    occ: dict[int, list[int]] = {}
-    for i, a in enumerate(syms, start=1):
-        occ.setdefault(a, []).append(i)
-    out: list[list[int]] = [[], list(occ.get(p[0], []))]
-    for j in range(1, len(p)):
-        lo, hi = constraint_window(gs.constraints[j - 1], n)
-        cur: list[int] = []
-        # sweep the union of windows [e+1+lo, e+1+hi] left to right
-        frontier = 0
-        positions = occ.get(p[j], [])
-        pi = 0
-        for e in out[j]:
-            start = max(e + 1 + lo, frontier)
-            end = n if hi > n else e + 1 + hi
-            if end < start:
-                continue
-            while pi < len(positions) and positions[pi] < start:
-                pi += 1
-            while pi < len(positions) and positions[pi] <= end:
-                cur.append(positions[pi])
-                pi += 1
-            frontier = end + 1
-        out.append(cur)
-    return out
-
-
-def _reachable_starts(syms: tuple[int, ...], gs: GappedSequence) -> list[list[int]]:
-    """Per pattern index j (1-based), the sorted start positions of partial
-    matches of the suffix from j on.  Index 0 is unused."""
-    n = len(syms)
-    p = gs.pattern.symbols
-    k = len(p)
-    occ: dict[int, list[int]] = {}
-    for i, a in enumerate(syms, start=1):
-        occ.setdefault(a, []).append(i)
-    out: list[list[int]] = [[] for _ in range(k + 1)]
-    out[k] = list(occ.get(p[k - 1], []))
-    for j in range(k - 1, 0, -1):
-        lo, hi = constraint_window(gs.constraints[j - 1], n)
-        cur: list[int] = []
-        frontier = n + 1
-        positions = occ.get(p[j - 1], [])
-        pi = len(positions) - 1
-        for s in reversed(out[j + 1]):
-            end = min(s - 1 - lo, frontier)
-            start = 0 if hi > n else s - 1 - hi
-            if end < start:
-                continue
-            while pi >= 0 and positions[pi] > end:
-                pi -= 1
-            while pi >= 0 and positions[pi] >= start:
-                cur.append(positions[pi])
-                pi -= 1
-            frontier = start - 1
-        cur.reverse()
-        out[j] = cur
-    return out
-
-
-_DIFF_SET_CAP = 200_000
-
-
 def match_with_equalities(
     w: Word, gs: GappedSequence, eq: EqualitySystem
 ) -> Optional[Embedding]:
     """Embedding where equality-related gaps share a common length.
 
-    The problem is NP-hard, so this backtracks over the total gap length
-    of each equality class of size two or more, classes ordered by their
-    smallest gap index and lengths tried in increasing order.  Candidate
-    lengths for a class start from the intersection of the members'
-    windows and are filtered down to lengths realizable at every member
-    gap, read off the reachable prefix-end and suffix-start positions
-    (a relaxation, so no equality-satisfying embedding is lost).  A
+    The problem is NP-hard, so this backtracks over the common length of
+    each equality class of two or more gaps, classes ordered by their
+    smallest gap index and lengths tried in increasing order.  A class's
+    candidate lengths are those every member gap g can take in some
+    embedding that ignores the equalities: the l with (F[g] << (l+1)) &
+    B[g+1] non-zero, where F[g] masks the ends of the matches of the
+    pattern's first g symbols and B[g+1] the starts of the matches of the
+    rest (a relaxation, so no equality-satisfying embedding is lost).  A
     partial assignment is pruned when the naive matcher already fails on
     it, which is sound because fixing a class only shrinks the embedding
     set.
+
+    The witness is canonical: the class lengths are the lexicographically
+    least feasible tuple, and the embedding is match's canonical witness
+    with every class fixed to its length.
     """
+    gs, infeasible = normalize(gs, len(w))
     for c in gs.constraints:
         if not isinstance(c, (ZeroGap, LengthGap)):
             raise UsageError("equality matching handles zero and length constraints only")
     if len(gs.pattern) == 0:
         return Embedding(())
-    gs, infeasible = normalize(gs, len(w))
     if infeasible:
         return None
-    n = len(w)
-    num_gaps = len(gs.pattern) - 1
-    classes = [cl for cl in eq.classes(num_gaps) if len(cl) >= 2]
-    windows = [constraint_window(c, n) for c in gs.constraints]
-    ends = _reachable_ends(w.symbols, gs)
-    if not ends[-1]:
+    p = gs.pattern.symbols
+    k = len(p)
+    classes = [cl for cl in eq.classes(k - 1) if len(cl) >= 2]
+    windows = [constraint_window(c, len(w)) for c in gs.constraints]
+    posmask = position_masks(w.symbols, p)
+    # F[j] / B[j]: where symbol j (1-based) can sit in a match of the
+    # first j symbols / of symbols j..k; index 0 is unused
+    F = [0, posmask[p[0]]]
+    for (lo, hi), a in zip(windows, p[1:]):
+        F.append(_or_spread(F[-1] << (1 + lo), hi - lo) & posmask[a])
+    if not F[k]:
         return None
-    starts = _reachable_starts(w.symbols, gs)
-
-    def gap_lengths(g: int) -> Optional[set[int]]:
-        lo, hi = windows[g - 1]
-        left, right = ends[g], starts[g + 1]
-        if len(left) * len(right) > _DIFF_SET_CAP:
-            return None
-        got = set()
-        for e in left:
-            for s in right:
-                if lo <= s - e - 1 <= hi:
-                    got.add(s - e - 1)
-        return got
+    B = [0] * k + [posmask[p[-1]]]
+    for j in range(k - 1, 0, -1):
+        lo, hi = windows[j - 1]
+        B[j] = (_or_spread(B[j + 1], hi - lo) >> (1 + hi)) & posmask[p[j - 1]]
 
     candidates: list[list[int]] = []
     for cl in classes:
         lo = max(windows[g - 1][0] for g in cl)
         hi = min(windows[g - 1][1] for g in cl)
-        if lo > hi:
-            return None
-        allowed: Optional[set[int]] = None
         for g in cl:
-            got = gap_lengths(g)
-            if got is not None:
-                allowed = got if allowed is None else allowed & got
-        if allowed is None:
-            candidates.append(list(range(lo, hi + 1)))
-        else:
-            cand = sorted(x for x in allowed if lo <= x <= hi)
-            if not cand:
-                return None
-            candidates.append(cand)
+            # gap g spans s - e - 1 for an end e in F[g] and a start s in B[g+1]
+            lo = max(lo, _lowest_bit(B[g + 1]) - F[g].bit_length())
+            hi = min(hi, B[g + 1].bit_length() - 2 - _lowest_bit(F[g]))
+        cand = [ell for ell in range(lo, hi + 1) if all((F[g] << (ell + 1)) & B[g + 1] for g in cl)]
+        if not cand:
+            return None
+        candidates.append(cand)
 
     def attempt(idx: int, cons: list) -> Optional[Embedding]:
         found = match_naive(w, GappedSequence(gs.pattern, tuple(cons)))

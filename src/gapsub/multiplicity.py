@@ -23,10 +23,9 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .analysis import DEFAULT_BUDGET
+from .analysis import DEFAULT_BUDGET, _check_budget
 from .core import (
     Alphabet,
-    BudgetError,
     GappedSequence,
     Word,
     check_dfa_alphabet,
@@ -78,11 +77,7 @@ def parikh_k(
     check_dfa_alphabet(gc, sigma)
     gc, infeasible = normalize_constraints(gc, len(w))
     k = len(gc) + 1
-    total = sigma**k
-    if total > budget:
-        raise BudgetError(
-            f"enumerating {sigma}^{k} = {total} candidates exceeds the budget of {budget}"
-        )
+    _check_budget(sigma, k, budget)
     out: dict[Word, int] = {}
     if infeasible:
         return out

@@ -1,19 +1,22 @@
 """End-to-end acceptance checks.
 
 Each test here covers one observable guarantee of the package: the hand-worked
-examples come out exactly, every matcher agrees with the reference matcher on
-large random and exhaustive input grids, the hardness reduction chains agree
-with brute-force solvers of the source problems, multiplicity comparison is
-exact beyond machine-word sizes, the tuned matcher scales near-linearly in
-both word length and automaton size, classical containment agrees with plain
-enumeration, and oversized analyses fail loudly instead of truncating.
+examples and the README's library example come out exactly, every matcher
+agrees with the reference matcher on large random and exhaustive input grids,
+the hardness reduction chains agree with brute-force solvers of the source
+problems, multiplicity comparison is exact beyond machine-word sizes, the
+tuned matcher scales near-linearly in both word length and automaton size,
+classical containment agrees with plain enumeration, and oversized analyses
+fail loudly instead of truncating.
 
 Every test prints a one-line summary and enforces its own wall-clock budget.
 """
 
 import itertools
 import math
+import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -101,6 +104,21 @@ def test_worked_examples_exact():
     dt = time.perf_counter() - t0
     assert dt < 1.0
     print(f"pass: worked examples exact in {dt:.3f}s")
+
+
+def test_readme_library_example(capsys):
+    t0 = time.perf_counter()
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S).group(1)
+    # each print line ends in a comment holding what it prints
+    want = [line.rsplit("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(want) == 3
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+    dt = time.perf_counter() - t0
+    assert dt < 1.0
+    print(f"pass: README library example prints its {len(want)} commented values in {dt:.3f}s")
 
 
 EVEN_LEN = Dfa(2, 0, frozenset({0}), ((1, 1), (0, 0)))

@@ -281,3 +281,40 @@ def test_dfa_alphabet_boundary_in_every_entry_point():
     for call in calls(sigma_star_dfa(1)):
         with pytest.raises(InputError, match="covers 1 symbols"):
             call()
+
+
+def test_foreign_constraint_rejected_by_every_entry_point():
+    from gapsub import (
+        EqualitySystem,
+        build_counting_nfa,
+        containment,
+        count_embeddings,
+        equivalence,
+        equivalence_with_multiplicities,
+        match,
+        match_naive,
+        match_with_equalities,
+        parikh_k,
+        universality,
+    )
+
+    word, ab = Word((1, 2, 1, 2)), Alphabet(2)
+    gc = ("junk",)
+    gs = GappedSequence(Word((1, 2)), gc)
+    calls = [
+        lambda: normalize_constraints(gc, 4),
+        lambda: match(word, gs),
+        lambda: match_naive(word, gs),
+        lambda: match_with_equalities(word, gs, EqualitySystem.from_pairs([])),
+        lambda: universality(word, gc, ab),
+        lambda: containment(word, word, gc, ab),
+        lambda: equivalence(word, word, gc, ab),
+        lambda: count_embeddings(word, gs),
+        lambda: parikh_k(word, gc, ab),
+        lambda: build_counting_nfa(word, gc),
+        lambda: equivalence_with_multiplicities(word, word, gc),
+        lambda: verify_embedding(word, gs, Embedding((1, 2))),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="not a gap constraint"):
+            call()

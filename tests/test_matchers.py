@@ -7,6 +7,7 @@ from gapsub import (
     INF,
     Alphabet,
     Dfa,
+    Embedding,
     EqualitySystem,
     GappedSequence,
     InputError,
@@ -144,14 +145,19 @@ def test_dfa_gap_step_matches_quadratic_reference(data):
     hi = INF if rng.random() < 0.2 else lo + rng.randint(0, n)
     dfa = random_dfa(rng, rng.randint(1, 4), sigma)
     step = GapStep(syms, RegLenGap(lo, hi, dfa))
-    mask = sum(1 << j for j in starts)
-    got = step.reach(mask)
-    for i in range(1, n + 1):
-        feasible = [j for j in starts if j < i and lo <= i - 1 - j <= hi and dfa.run(syms[j : i - 1])]
-        assert bool(got >> i & 1) == bool(feasible), (i, feasible)
-        if feasible and feasible[0] >= 1:
-            assert step.pred(mask, i) == feasible[0]
-    assert got >> (n + 1) == 0 and got & 1 == 0
+    # the drawn starts, every single start (the windowed sweep stops after
+    # the last start's window) and both ends (its traces reset in between)
+    for case in [starts, [0, n]] + [[j] for j in range(n + 1)]:
+        mask = sum(1 << j for j in case)
+        got = step.reach(mask)
+        for i in range(1, n + 1):
+            feasible = [
+                j for j in case if j < i and lo <= i - 1 - j <= hi and dfa.run(syms[j : i - 1])
+            ]
+            assert bool(got >> i & 1) == bool(feasible), (i, feasible)
+            if feasible and feasible[0] >= 1:
+                assert step.pred(mask, i) == feasible[0]
+        assert got >> (n + 1) == 0 and got & 1 == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,14 +179,19 @@ def test_reach_counts_matches_quadratic_reference(data):
     }[kind]
     vec = [rng.choice((0, 0, 1, 3, 2**64 + rng.randint(1, 2**70))) for _ in range(n + 1)]
     step = GapStep(syms, c)
-    got = step.reach_counts(vec)
-    want = [0] + [
-        sum(vec[j] for j in range(i) if constraint_allows(c, syms[j : i - 1]))
-        for i in range(1, n + 1)
-    ]
-    assert got == want
-    support = sum(1 << j for j, x in enumerate(vec) if x)
-    assert sum(1 << i for i, x in enumerate(got) if x) == step.reach(support)
+    # the drawn vector, every single start (the windowed sweep stops after
+    # the last start's window) and both ends (its traces reset in between)
+    singles = [[0] * j + [vec[j] or 1] + [0] * (n - j) for j in range(n + 1)]
+    ends = [2] + [0] * (n - 1) + [3] if n else [5]
+    for case in [vec, ends] + singles:
+        got = step.reach_counts(case)
+        want = [0] + [
+            sum(case[j] for j in range(i) if constraint_allows(c, syms[j : i - 1]))
+            for i in range(1, n + 1)
+        ]
+        assert got == want
+        support = sum(1 << j for j, x in enumerate(case) if x)
+        assert sum(1 << i for i, x in enumerate(got) if x) == step.reach(support)
 
 
 def test_equality_system_classes():
@@ -193,8 +204,6 @@ def test_equality_system_classes():
 
 
 def test_equality_satisfied_by():
-    from gapsub import Embedding
-
     word = w("abcabca")
     eq = EqualitySystem.from_pairs([(1, 2)])
     assert eq.satisfied_by(word, Embedding((1, 3, 5)))
@@ -237,6 +246,46 @@ def test_equality_matching_agrees_with_bruteforce(data):
     if got is not None:
         assert verify_embedding(word, gs, got)
         assert eq.satisfied_by(word, got)
+        # canonical witness: the least feasible class lengths, then match's witness
+        classes = [cl for cl in eq.classes(k - 1) if len(cl) >= 2]
+        least = min(
+            tuple(pos[cl[0]] - pos[cl[0] - 1] - 1 for cl in classes)
+            for pos in brute_embeddings(word, gs)
+            if eq.satisfied_by(word, Embedding(pos))
+        )
+        fixed = list(gc)
+        for cl, ell in zip(classes, least):
+            for g in cl:
+                fixed[g - 1] = LengthGap(ell, ell)
+        assert got.positions == match(word, GappedSequence(p, tuple(fixed))).positions
+
+
+def test_equality_witness_is_least_class_lengths():
+    # every instance has an equality class, so the witness contract bites
+    rng = random.Random("eq-witness")
+    checked = 0
+    for _ in range(1000):
+        sigma = rng.randint(1, 2)
+        word = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(4, 12))))
+        k = rng.randint(3, 4)
+        p = Word(tuple(rng.randint(1, sigma) for _ in range(k)))
+        gc = tuple(random_constraint(rng, "length", sigma) for _ in range(k - 1))
+        a, b = rng.sample(range(1, k), 2)
+        eq = EqualitySystem.from_pairs([(a, b)])
+        got = match_with_equalities(word, GappedSequence(p, gc), eq)
+        lengths = sorted(
+            pos[a] - pos[a - 1] - 1
+            for pos in brute_embeddings(word, GappedSequence(p, gc))
+            if eq.satisfied_by(word, Embedding(pos))
+        )
+        assert (got is None) == (not lengths)
+        if got is None:
+            continue
+        fixed = list(gc)
+        fixed[a - 1] = fixed[b - 1] = LengthGap(lengths[0], lengths[0])
+        assert got.positions == match(word, GappedSequence(p, tuple(fixed))).positions
+        checked += 1
+    assert checked >= 100
 
 
 def test_equality_matching_rejects_dfa_constraints():
