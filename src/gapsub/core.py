@@ -99,10 +99,6 @@ class Word:
                 if isinstance(s, bool) or not isinstance(s, int) or s < 1:
                     raise InputError(f"symbol ids must be positive integers, got {s!r}")
 
-    @classmethod
-    def from_ids(cls, ids: Iterable[int]) -> "Word":
-        return cls(tuple(ids))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -281,11 +277,6 @@ class GappedSequence:
     def size(self) -> int:
         """Total representation size: pattern length plus constraint encodings."""
         return len(self.pattern) + sum(_constraint_size(c) for c in self.constraints)
-
-    @property
-    def dfa_table(self) -> tuple:
-        """Per-constraint DFA (None where the constraint has none)."""
-        return tuple(constraint_dfa(c) for c in self.constraints)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ bit for length windows, a backward preimage sweep over the window for
 DFA gaps).  This is exactly the embedding match_naive returns.
 
 match_naive is the reference implementation match is tested against: a
-per-symbol DP that streams the constraint DFA from every start.  The
-analyses in analysis.py spread their frontiers with the same GapStep.
+per-symbol DP that streams the constraint DFA from every start; no other
+code of the library calls it.  The analyses in analysis.py spread their
+frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
 
 GapStep.reach_counts is the count-valued twin of reach that all counting
@@ -39,11 +40,12 @@ where under a real window a start's count enters after lo symbols and
 leaves after hi+1, at the DFA states _Traces gives for it then.
 
 match_with_equalities backtracks over the common lengths of gap-length
-equality classes (NP-hard).  It prunes with forward and backward masks
-built by the length gap step's or-spread: the lengths gap g can take in
-an embedding that ignores the equalities are exactly the l for which the
-ends of the first g symbols' matches, shifted by l+1, meet the starts of
-the rest's matches.
+equality classes (NP-hard) in one explicit-stack search driven by forward
+and backward masks built by the length gap step's or-spread: with the
+classes fixed so far as exact windows, the lengths gap g can take in an
+embedding that ignores the equalities are exactly the l for which the ends
+of the first g symbols' matches, shifted by l+1, meet the starts of the
+rest's matches.  A leaf's witness is one match call.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Embedding,
@@ -573,6 +575,32 @@ class EqualitySystem:
         return all(len(e.gap(w, a)) == len(e.gap(w, b)) for a, b in self.pairs)
 
 
+def _eq_masks(posmask: dict[int, int], p: tuple[int, ...], windows: list) -> tuple[list[int], list[int]]:
+    """F[j] / B[j]: where symbol j (1-based) of p can sit in a match of the
+    first j symbols / of symbols j..k under the length windows; index 0 is
+    unused.  A match of all of p exists exactly when F[k] is non-zero."""
+    F = [0, posmask[p[0]]]
+    for (lo, hi), a in zip(windows, p[1:]):
+        F.append(_or_spread(F[-1] << (1 + lo), hi - lo) & posmask[a])
+    B = [0] * len(p) + [posmask[p[-1]]]
+    for j in range(len(p) - 1, 0, -1):
+        lo, hi = windows[j - 1]
+        B[j] = (_or_spread(B[j + 1], hi - lo) >> (1 + hi)) & posmask[p[j - 1]]
+    return F, B
+
+
+def _class_lengths(cl: tuple[int, ...], windows: list, F: list[int], B: list[int]) -> Iterator[int]:
+    """Increasing lengths l that every gap g of cl can take in some match
+    under the windows: those with (F[g] << (l+1)) & B[g+1] non-zero."""
+    lo = max(windows[g - 1][0] for g in cl)
+    hi = min(windows[g - 1][1] for g in cl)
+    for g in cl:
+        # gap g spans s - e - 1 for an end e in F[g] and a start s in B[g+1]
+        lo = max(lo, _lowest_bit(B[g + 1]) - F[g].bit_length())
+        hi = min(hi, B[g + 1].bit_length() - 2 - _lowest_bit(F[g]))
+    return (ell for ell in range(lo, hi + 1) if all((F[g] << (ell + 1)) & B[g + 1] for g in cl))
+
+
 def match_with_equalities(
     w: Word, gs: GappedSequence, eq: EqualitySystem
 ) -> Optional[Embedding]:
@@ -580,15 +608,13 @@ def match_with_equalities(
 
     The problem is NP-hard, so this backtracks over the common length of
     each equality class of two or more gaps, classes ordered by their
-    smallest gap index and lengths tried in increasing order.  A class's
-    candidate lengths are those every member gap g can take in some
-    embedding that ignores the equalities: the l with (F[g] << (l+1)) &
-    B[g+1] non-zero, where F[g] masks the ends of the matches of the
-    pattern's first g symbols and B[g+1] the starts of the matches of the
-    rest (a relaxation, so no equality-satisfying embedding is lost).  A
-    partial assignment is pruned when the naive matcher already fails on
-    it, which is sound because fixing a class only shrinks the embedding
-    set.
+    smallest gap index and lengths tried in increasing order, in one
+    explicit-stack search.  A node fixes the classes before it to exact
+    (l, l) windows and rebuilds the masks F and B under them (see
+    _eq_masks).  It is pruned when no match remains or some open class
+    has no length that all its gaps can take (_class_lengths); both tests
+    ignore only the open equalities, so no embedding is lost.  Otherwise
+    it branches on the next class's lengths.
 
     The witness is canonical: the class lengths are the lexicographically
     least feasible tuple, and the embedding is match's canonical witness
@@ -603,48 +629,32 @@ def match_with_equalities(
     if infeasible:
         return None
     p = gs.pattern.symbols
-    k = len(p)
-    classes = [cl for cl in eq.classes(k - 1) if len(cl) >= 2]
-    windows = [constraint_window(c, len(w)) for c in gs.constraints]
+    classes = [cl for cl in eq.classes(len(p) - 1) if len(cl) >= 2]
+    base = [constraint_window(c, len(w)) for c in gs.constraints]
     posmask = position_masks(w.symbols, p)
-    # F[j] / B[j]: where symbol j (1-based) can sit in a match of the
-    # first j symbols / of symbols j..k; index 0 is unused
-    F = [0, posmask[p[0]]]
-    for (lo, hi), a in zip(windows, p[1:]):
-        F.append(_or_spread(F[-1] << (1 + lo), hi - lo) & posmask[a])
-    if not F[k]:
-        return None
-    B = [0] * k + [posmask[p[-1]]]
-    for j in range(k - 1, 0, -1):
-        lo, hi = windows[j - 1]
-        B[j] = (_or_spread(B[j + 1], hi - lo) >> (1 + hi)) & posmask[p[j - 1]]
-
-    candidates: list[list[int]] = []
-    for cl in classes:
-        lo = max(windows[g - 1][0] for g in cl)
-        hi = min(windows[g - 1][1] for g in cl)
-        for g in cl:
-            # gap g spans s - e - 1 for an end e in F[g] and a start s in B[g+1]
-            lo = max(lo, _lowest_bit(B[g + 1]) - F[g].bit_length())
-            hi = min(hi, B[g + 1].bit_length() - 2 - _lowest_bit(F[g]))
-        cand = [ell for ell in range(lo, hi + 1) if all((F[g] << (ell + 1)) & B[g + 1] for g in cl)]
-        if not cand:
-            return None
-        candidates.append(cand)
-
-    def attempt(idx: int, cons: list) -> Optional[Embedding]:
-        found = match_naive(w, GappedSequence(gs.pattern, tuple(cons)))
-        if found is None:
-            return None
-        if idx == len(classes):
-            return found
-        for ell in candidates[idx]:
-            nxt = list(cons)
-            for g in classes[idx]:
-                nxt[g - 1] = LengthGap(ell, ell) if ell else ZeroGap()
-            got = attempt(idx + 1, nxt)
-            if got is not None:
-                return got
-        return None
-
-    return attempt(0, list(gs.constraints))
+    path = [0] * len(classes)  # path[i]: the length class i is fixed to
+    stack = [(0, 0)]  # (classes fixed, the length of the last of them)
+    while stack:
+        d, ell = stack.pop()
+        if d:
+            path[d - 1] = ell
+        windows = list(base)
+        for cl, fixed in zip(classes, path[:d]):
+            for g in cl:
+                windows[g - 1] = (fixed, fixed)
+        F, B = _eq_masks(posmask, p, windows)
+        if not F[-1]:
+            continue
+        if d == len(classes):
+            cons = list(gs.constraints)
+            for cl, fixed in zip(classes, path):
+                for g in cl:
+                    cons[g - 1] = LengthGap(fixed, fixed) if fixed else ZeroGap()
+            return match(w, GappedSequence(gs.pattern, tuple(cons)))
+        for cl in classes[d + 1 :]:
+            if next(_class_lengths(cl, windows, F, B), None) is None:
+                break  # a later class has no length left
+        else:
+            for ell in reversed(list(_class_lengths(classes[d], windows, F, B))):
+                stack.append((d + 1, ell))
+    return None

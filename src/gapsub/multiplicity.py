@@ -86,18 +86,22 @@ def parikh_k(
     present = [a for a in range(1, sigma + 1) if a in at]
     steps = [GapStep(syms, c) for c in gc]
 
-    def rec(d: int, counts: list[int], prefix: tuple[int, ...]) -> None:
+    # the stack pops prefixes in lexicographic order; an entry holds its
+    # last symbol and its parent's spread counts (None for a first symbol),
+    # shared with its siblings
+    path = [0] * k
+    stack = [(1, None, a) for a in reversed(present)]
+    while stack:
+        d, spread, a = stack.pop()
+        counts = at[a] if spread is None else list(map(mul, spread, at[a]))
+        if not any(counts):
+            continue
+        path[d - 1] = a
         if d == k:
-            out[Word(prefix)] = sum(counts)
-            return
+            out[Word(tuple(path))] = sum(counts)
+            continue
         spread = steps[d - 1].reach_counts(counts)
-        for a in present:
-            nxt = list(map(mul, spread, at[a]))
-            if any(nxt):
-                rec(d + 1, nxt, prefix + (a,))
-
-    for a in present:
-        rec(1, at[a], (a,))
+        stack.extend((d + 1, spread, b) for b in reversed(present))
     return out
 
 
@@ -114,8 +118,8 @@ class CountingNfa:
     GapStep per constraint.  A count vector (j, counts) gives the number of
     paths ending in each state (i, j) of one layer j, counts indexed by i
     in 0..n; step moves it on by one symbol through the gap kernel.
-    transitions and successors list the explicit transition relation,
-    built on first access.
+    transitions lists the explicit transition relation, built on first
+    access.
     """
 
     def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
@@ -159,9 +163,6 @@ class CountingNfa:
         for a in symbols:
             out[(error, a)] = (error,)
         return out
-
-    def successors(self, state: tuple[int, int], sym: int) -> tuple[tuple[int, int], ...]:
-        return self.transitions.get((state, sym), ())
 
     def start(self) -> tuple[int, list[int]]:
         """The count vector of the empty prefix: one path, in (0, 0)."""

@@ -39,11 +39,6 @@ BIT_ALPHABET = Alphabet.from_glyphs("01")
 BIN_ALPHABET = Alphabet.from_glyphs("ab")
 
 
-def nuni_alphabet(gamma_size: int) -> Alphabet:
-    """Alphabet for set-cover universality words: ids 1..m plus the filler m+1."""
-    return Alphabet(gamma_size + 1)
-
-
 # ---------------------------------------------------------------------------
 # orthogonal vectors
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from gapsub import (
@@ -23,6 +24,7 @@ from gapsub import (
     RegularGap,
     Word,
     ZeroGap,
+    match_naive,
 )
 
 
@@ -260,3 +262,48 @@ def reference_equivalence(w: Word, w2: Word, gc: Sequence[GapConstraint], sigma:
         return (ok, witness, c1)
     ok, witness, c2 = reference_containment(w2, w, gc, sigma)
     return (ok, witness, c1 + c2)
+
+
+def reference_match_with_equalities(w: Word, gs: GappedSequence, eq) -> Optional[tuple[int, ...]]:
+    """Backtracking over the equality classes' common lengths, classes by
+    smallest gap and lengths increasing, that reruns match_naive on every
+    partial assignment and prunes where it fails.  A class's candidates are
+    the lengths all its gaps can take in some match that ignores the
+    equalities, read off bitmasks of the positions where each pattern
+    symbol can sit in a match of the symbols before / after it.  Returns
+    the canonical witness positions or None."""
+    n, p = len(w), gs.pattern.symbols
+    windows = [(0, 0) if isinstance(c, ZeroGap) else (c.lo, min(c.hi, n)) for c in gs.constraints]
+    at = {a: sum(1 << i for i, s in enumerate(w.symbols, start=1) if s == a) for a in p}
+    fwd, bwd = [0, at[p[0]]], [at[p[-1]]]
+    for (lo, hi), a in zip(windows, p[1:]):
+        fwd.append(at[a] & reduce(or_, [fwd[-1] << (ell + 1) for ell in range(lo, hi + 1)], 0))
+    for (lo, hi), a in zip(reversed(windows), reversed(p[:-1])):
+        bwd.insert(0, at[a] & reduce(or_, [bwd[0] >> (ell + 1) for ell in range(lo, hi + 1)], 0))
+    bwd.insert(0, 0)
+    classes = [cl for cl in eq.classes(len(p) - 1) if len(cl) >= 2]
+    candidates = [
+        [
+            ell
+            for ell in range(max(windows[g - 1][0] for g in cl), min(windows[g - 1][1] for g in cl) + 1)
+            if all((fwd[g] << (ell + 1)) & bwd[g + 1] for g in cl)
+        ]
+        for cl in classes
+    ]
+
+    def attempt(idx: int, cons: list):
+        found = match_naive(w, GappedSequence(gs.pattern, tuple(cons)))
+        if found is None or idx == len(classes):
+            return found
+        for ell in candidates[idx]:
+            nxt = list(cons)
+            for g in classes[idx]:
+                nxt[g - 1] = LengthGap(ell, ell)
+            got = attempt(idx + 1, nxt)
+            if got is not None:
+                return got
+        return None
+
+    found = attempt(0, list(gs.constraints))
+    return None if found is None else found.positions
+

@@ -17,6 +17,7 @@ from gapsub import (
     classical_containment,
     containment,
     equivalence,
+    parikh_k,
     sigma_star_dfa,
     universality,
 )
@@ -195,6 +196,13 @@ def test_unary_universality_needs_no_recursion():
     assert rep.decision and rep.witness is None and rep.candidates_checked == 1
     rep = universality(Word((1,) * (k - 1)), [LengthGap(0, INF)] * (k - 1), Alphabet(1))
     assert not rep.decision and rep.witness.symbols == (1,) * k
+
+
+def test_unary_parikh_needs_no_recursion():
+    # sigma = 1 passes any budget; the prefix search must not recurse either
+    k = 3000
+    got = parikh_k(Word((1,) * (k + 100)), [LengthGap(0, 0)] * (k - 1), Alphabet(1))
+    assert got == {Word((1,) * k): 101}
 
 
 def test_spreads_count_memo_hits_as_skipped_work():

@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,14 +27,17 @@ from gapsub import (
     sigma_star_dfa,
     verify_embedding,
 )
+from gapsub import matchers
 from gapsub.core import constraint_allows
 from gapsub.matchers import GapStep
+from gapsub.reductions import CnfFormula, random_cnf, sat_to_match_equalities
 from helpers import (
     brute_embeddings,
     gap_ok,
     random_constraint,
     random_dfa,
     random_instance,
+    reference_match_with_equalities,
 )
 
 ABC = Alphabet.from_glyphs("abc")
@@ -286,6 +292,56 @@ def test_equality_witness_is_least_class_lengths():
         assert got.positions == match(word, GappedSequence(p, tuple(fixed))).positions
         checked += 1
     assert checked >= 100
+
+
+def _full_cnf():
+    """The eight 3-clauses over variables 1..3: unsatisfiable."""
+    signs = itertools.product((1, -1), repeat=3)
+    return CnfFormula(3, tuple(frozenset((a, 2 * b, 3 * c)) for a, b, c in signs))
+
+
+def test_equality_search_agrees_with_match_naive_backtracking():
+    # the mask-only search against backtracking that reruns match_naive on
+    # every partial assignment: same decision and same witness
+    full = _full_cnf()
+    formulas = [full, CnfFormula(3, full.clauses[::-1]), CnfFormula(3, full.clauses[1:])]
+    formulas += [random_cnf(3, 4, seed, arity=3) for seed in range(3)]
+    formulas += [random_cnf(4, 3, seed, arity=3) for seed in (0, 2)]
+    outcomes = []
+    for f in formulas:
+        word, gs, eq = sat_to_match_equalities(f)
+        got = match_with_equalities(word, gs, eq)
+        want = reference_match_with_equalities(word, gs, eq)
+        assert (got is None and want is None) or got.positions == want
+        outcomes.append(got is not None)
+    assert outcomes[:3] == [False, False, True] and all(outcomes[3:])
+
+
+def test_equality_matching_never_runs_match_naive(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("match_naive is the tests' reference only")
+
+    monkeypatch.setattr(matchers, "match_naive", refuse)
+    word, gs, eq = sat_to_match_equalities(random_cnf(4, 6, 0, arity=3))
+    got = match_with_equalities(word, gs, eq)
+    assert got is not None and verify_embedding(word, gs, got) and eq.satisfied_by(word, got)
+    word, gs, eq = sat_to_match_equalities(_full_cnf())
+    assert match_with_equalities(word, gs, eq) is None
+
+
+def test_equality_matching_needs_no_recursion():
+    # 250 classes of two gaps each; the search depth must not cost frames
+    k = 501
+    word = Word((1, 2) * k)
+    gs = GappedSequence(Word((1,) * k), (LengthGap(0, 3),) * (k - 1))
+    eq = EqualitySystem.from_pairs([(g, g + 1) for g in range(1, k, 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        got = match_with_equalities(word, gs, eq)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got is not None and got.positions == tuple(range(1, 2 * k, 2))
 
 
 def test_equality_matching_rejects_dfa_constraints():

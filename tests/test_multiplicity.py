@@ -86,6 +86,7 @@ def test_parikh_agrees_with_bruteforce(data):
     want = brute_parikh(word, gc, sigma, k)
     got = {kk.symbols: v for kk, v in parikh_k(word, gc, ab).items()}
     assert got == want
+    assert list(got) == sorted(got)  # strings come in lexicographic order
 
 
 def test_parikh_budget_guard():
