@@ -27,9 +27,9 @@ bit for length windows, a backward preimage sweep over the window for
 DFA gaps).  This is exactly the embedding match_naive returns.
 
 match_naive is the reference implementation match is tested against: a
-per-symbol DP that streams the constraint DFA from every start; no other
-code of the library calls it.  The analyses in analysis.py spread their
-frontiers with the same GapStep.
+per-symbol DP that streams the constraint DFA from every start; its one
+other caller is the leaf of match_with_equalities.  The analyses in
+analysis.py spread their frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
 
 GapStep.reach_counts is the count-valued twin of reach that all counting
@@ -45,7 +45,7 @@ and backward masks built by the length gap step's or-spread: with the
 classes fixed so far as exact windows, the lengths gap g can take in an
 embedding that ignores the equalities are exactly the l for which the ends
 of the first g symbols' matches, shifted by l+1, meet the starts of the
-rest's matches.  A leaf's witness is one match call.
+rest's matches.  A leaf's witness is one match_naive call.
 """
 
 from __future__ import annotations
@@ -617,8 +617,9 @@ def match_with_equalities(
     it branches on the next class's lengths.
 
     The witness is canonical: the class lengths are the lexicographically
-    least feasible tuple, and the embedding is match's canonical witness
-    with every class fixed to its length.
+    least feasible tuple, and the embedding is the canonical witness with
+    every class fixed to its length, from match_naive, which is no slower
+    than match on these length-only leaves.
     """
     gs, infeasible = normalize(gs, len(w))
     for c in gs.constraints:
@@ -650,7 +651,7 @@ def match_with_equalities(
             for cl, fixed in zip(classes, path):
                 for g in cl:
                     cons[g - 1] = LengthGap(fixed, fixed) if fixed else ZeroGap()
-            return match(w, GappedSequence(gs.pattern, tuple(cons)))
+            return match_naive(w, GappedSequence(gs.pattern, tuple(cons)))
         for cl in classes[d + 1 :]:
             if next(_class_lengths(cl, windows, F, B), None) is None:
                 break  # a later class has no length left
