@@ -19,7 +19,9 @@ call only; a hit is charged as the sigma**(k-d) candidates the skipped
 subtree holds, so candidates_checked, the decision and the
 lexicographically least witness are those of the plain enumeration.
 The memo stops growing once its keys hold MEMO_BITS frontier bits,
-which bounds its memory without changing any answer or count.
+which bounds its memory without changing any answer or count.  The
+search is sequential; the workers keyword of the three analyses accepts
+only 1.
 
 classical_containment handles the unconstrained fixed-length case
 through a product of subsequence automata instead of enumeration.
@@ -27,7 +29,6 @@ through a product of subsequence automata instead of enumeration.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,8 @@ from .core import (
     BudgetError,
     GapConstraint,
     InputError,
+    NormalizedConstraints,
+    UsageError,
     Word,
     check_dfa_alphabet,
     normalize_constraints,
@@ -67,7 +70,6 @@ class _WordFrontier:
 
     def __init__(self, syms: tuple[int, ...], gc: tuple[GapConstraint, ...], sigma: int):
         n = len(syms)
-        check_dfa_alphabet(gc, sigma)
         masks = position_masks(syms, range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
         self.steps = [GapStep(syms, c) for c in gc]
@@ -107,36 +109,40 @@ def _check_budget(sigma: int, k: int, budget: int) -> None:
         )
 
 
-def _prepare(w: Word, gc, alphabet: Alphabet):
+def _check_workers(workers: int) -> None:
+    # kept only so that callers passing workers=1 keep working
+    if workers != 1:
+        raise UsageError(f"the analysis search is sequential; workers must be 1, not {workers}")
+
+
+def _prepare(w: Word, gc, alphabet: Alphabet) -> NormalizedConstraints:
+    """The one analysis preamble: w over the alphabet, every constraint DFA
+    covering it, and the constraints normalized against |w|."""
     alphabet.validate_word(w)
-    norm, _ = normalize_constraints(gc, len(w))
-    return norm
+    gc = tuple(gc)
+    check_dfa_alphabet(gc, alphabet.size)
+    return normalize_constraints(gc, len(w))
 
 
-def _search(args) -> tuple[bool, Optional[tuple[int, ...]], int, int]:
-    """Is every length-k string of the left word that starts with one of
-    the symbols in firsts (increasing) also a string of the right word?
-    A left word of None stands for every string (universality).
+def _search(left, right, sigma: int, k: int) -> AnalysisReport:
+    """Is every length-k string of the left side also a string of the right?
 
-    Returns (contained, witness ids or None, candidates checked, gap-step
-    spreads made).  The stack pops candidates in lexicographic order, so
-    the first string of length k with a live left frontier and a dead
-    right frontier is the lexicographically least counterexample, and it
-    ends the search.  A subtree with a dead left frontier is vacuously
-    contained and counted in bulk.  A key enters the memo when its node
-    is expanded: a key holds its depth, so it cannot recur inside its own
-    subtree, and any later pop of it comes after that subtree was
-    searched to the end without a counterexample.
+    Each side is a _WordFrontier, or _AllStrings on the left for
+    universality.  The stack pops candidates in lexicographic order, so the
+    first string of length k with a live left frontier and a dead right
+    frontier is the lexicographically least counterexample, and it ends the
+    search.  A subtree with a dead left frontier is vacuously contained and
+    counted in bulk.  A key enters the memo when its node is expanded: a key
+    holds its depth, so it cannot recur inside its own subtree, and any
+    later pop of it comes after that subtree was searched to the end
+    without a counterexample.
     """
-    wsyms, gcl, w2syms, gcr, sigma, k, firsts = args
-    left = _AllStrings(sigma) if wsyms is None else _WordFrontier(wsyms, gcl, sigma)
-    right = _WordFrontier(w2syms, gcr, sigma)
     memo: set[tuple[int, int, int]] = set()
     room = MEMO_BITS
     count = 0
     path = [0] * k
     lpm, rpm = left.posmask, right.posmask
-    stack = [(1, left.start(a), right.start(a), a) for a in reversed(firsts)]
+    stack = [(1, left.start(a), right.start(a), a) for a in range(sigma, 0, -1)]
     while stack:
         d, lfro, rfro, sym = stack.pop()
         path[d - 1] = sym
@@ -146,7 +152,7 @@ def _search(args) -> tuple[bool, Optional[tuple[int, ...]], int, int]:
         if d == k:
             count += 1
             if not rfro:
-                return (False, tuple(path), count, left.spreads + right.spreads)
+                return AnalysisReport(False, Word(path), count, left.spreads + right.spreads)
             continue
         key = (d, lfro, rfro)
         if key in memo:
@@ -161,25 +167,7 @@ def _search(args) -> tuple[bool, Optional[tuple[int, ...]], int, int]:
         # push in reverse so symbol 1 is explored first
         for s in range(sigma, 0, -1):
             stack.append((d + 1, lbase & lpm[s], rbase & rpm[s], s))
-    return (True, None, count, left.spreads + right.spreads)
-
-
-def _decide(wsyms, gcl, w2syms, gcr, sigma: int, k: int, workers: int) -> AnalysisReport:
-    """One search over all first symbols, or one per first symbol in a
-    process pool, merged in increasing symbol order."""
-    if workers <= 1:
-        results = [_search((wsyms, gcl, w2syms, gcr, sigma, k, range(1, sigma + 1)))]
-    else:
-        args = [(wsyms, gcl, w2syms, gcr, sigma, k, (a,)) for a in range(1, sigma + 1)]
-        with ProcessPoolExecutor(max_workers=min(workers, sigma)) as pool:
-            results = list(pool.map(_search, args))
-    spreads = sum(r[3] for r in results)
-    count = 0
-    for ok, witness, c, _ in results:
-        count += c
-        if not ok:
-            return AnalysisReport(False, Word(witness), count, spreads)
-    return AnalysisReport(True, None, count, spreads)
+    return AnalysisReport(True, None, count, left.spreads + right.spreads)
 
 
 def universality(
@@ -194,12 +182,14 @@ def universality(
 
     The witness of a negative answer is the lexicographically least
     absent string.  Raises BudgetError when sigma**k exceeds the budget.
+    workers must be 1.
     """
-    gc = _prepare(w, gc, alphabet)
+    _check_workers(workers)
+    gc, _ = _prepare(w, gc, alphabet)
     sigma = alphabet.size
     k = len(gc) + 1
     _check_budget(sigma, k, budget)
-    return _decide(None, (), w.symbols, gc, sigma, k, workers)
+    return _search(_AllStrings(sigma), _WordFrontier(w.symbols, gc, sigma), sigma, k)
 
 
 def containment(
@@ -214,14 +204,17 @@ def containment(
     """Is every constrained subsequence of w also one of w2?
 
     The witness of a negative answer is the lexicographically least
-    string embedding in w but not in w2.
+    string embedding in w but not in w2.  workers must be 1.
     """
-    gcl = _prepare(w, gc, alphabet)
-    gcr = _prepare(w2, gc, alphabet)
+    _check_workers(workers)
+    gcl, _ = _prepare(w, gc, alphabet)
+    gcr, _ = _prepare(w2, gc, alphabet)
     sigma = alphabet.size
     k = len(gcl) + 1
     _check_budget(sigma, k, budget)
-    return _decide(w.symbols, gcl, w2.symbols, gcr, sigma, k, workers)
+    left = _WordFrontier(w.symbols, gcl, sigma)
+    right = _WordFrontier(w2.symbols, gcr, sigma)
+    return _search(left, right, sigma, k)
 
 
 def equivalence(
@@ -237,11 +230,13 @@ def equivalence(
 
     Decided as containment in both directions; the witness comes from
     the failing direction and lies in the symmetric difference.
+    workers must be 1.
     """
-    first = containment(w, w2, gc, alphabet, budget=budget, workers=workers)
+    _check_workers(workers)
+    first = containment(w, w2, gc, alphabet, budget=budget)
     if not first.decision:
         return first
-    second = containment(w2, w, gc, alphabet, budget=budget, workers=workers)
+    second = containment(w2, w, gc, alphabet, budget=budget)
     return AnalysisReport(
         second.decision,
         second.witness,

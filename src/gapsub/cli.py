@@ -573,21 +573,14 @@ def _cmd_analyze(args) -> int:
     values = [args.word] + ([args.word2] if args.mode in ("con", "equ") else [])
     alphabet, words, mode = _load_session(values, args.glyphs, args.sigma)
     k, gc = read_constraints_file(args.constraints)
-    check_dfa_alphabet(gc, alphabet.size)
     if args.mode == "uni":
-        report = universality(
-            words[0], gc, alphabet, budget=args.budget, workers=args.workers
-        )
+        report = universality(words[0], gc, alphabet, budget=args.budget)
         label = "universal"
     elif args.mode == "con":
-        report = containment(
-            words[0], words[1], gc, alphabet, budget=args.budget, workers=args.workers
-        )
+        report = containment(words[0], words[1], gc, alphabet, budget=args.budget)
         label = "contained"
     else:
-        report = equivalence(
-            words[0], words[1], gc, alphabet, budget=args.budget, workers=args.workers
-        )
+        report = equivalence(words[0], words[1], gc, alphabet, budget=args.budget)
         label = "equivalent"
     print(f"{label}: {'yes' if report.decision else 'no'}")
     print(f"candidates: {report.candidates_checked}")
@@ -741,7 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     word_flags(p, second=True)
     p.add_argument("-c", "--constraints", required=True, help="constraint file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("count", help="number of embeddings of the pattern")

@@ -118,6 +118,14 @@ class ZeroGap:
     """Only the empty gap: consecutive word positions."""
 
 
+def _check_window(lo: object, hi: object) -> None:
+    """Raise InputError unless lo is an int >= 0 and hi is INF or an int >= lo."""
+    if isinstance(lo, bool) or not isinstance(lo, int) or lo < 0:
+        raise InputError(f"gap lower bound must be an int >= 0, got {lo!r}")
+    if hi != INF and (isinstance(hi, bool) or not isinstance(hi, int) or hi < lo):
+        raise InputError(f"gap upper bound must be an int >= lo, or INF, got {hi!r}")
+
+
 @dataclass(frozen=True)
 class LengthGap:
     """Gap length within [lo, hi]; hi may be INF."""
@@ -126,10 +134,7 @@ class LengthGap:
     hi: Union[int, float]
 
     def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise InputError("gap lower bound must be nonnegative")
-        if self.hi != INF and (not isinstance(self.hi, int) or self.hi < self.lo):
-            raise InputError("gap upper bound must be an int >= lo, or INF")
+        _check_window(self.lo, self.hi)
 
 
 # what matching, counting and analysis read off a constraint's DFA
@@ -163,10 +168,7 @@ class RegLenGap:
     dfa: object
 
     def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise InputError("gap lower bound must be nonnegative")
-        if self.hi != INF and (not isinstance(self.hi, int) or self.hi < self.lo):
-            raise InputError("gap upper bound must be an int >= lo, or INF")
+        _check_window(self.lo, self.hi)
         _check_dfa(self.dfa, "reg-len")
 
 

@@ -23,7 +23,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .analysis import DEFAULT_BUDGET, _check_budget
+from .analysis import DEFAULT_BUDGET, _check_budget, _prepare
 from .core import (
     Alphabet,
     GappedSequence,
@@ -71,11 +71,8 @@ def parikh_k(
     Only strings with a positive count appear, in lexicographic order.
     Raises BudgetError when sigma**(len(gc)+1) exceeds the budget.
     """
-    alphabet.validate_word(w)
+    gc, infeasible = _prepare(w, gc, alphabet)
     sigma = alphabet.size
-    gc = tuple(gc)
-    check_dfa_alphabet(gc, sigma)
-    gc, infeasible = normalize_constraints(gc, len(w))
     k = len(gc) + 1
     _check_budget(sigma, k, budget)
     out: dict[Word, int] = {}

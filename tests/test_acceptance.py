@@ -1,13 +1,13 @@
 """End-to-end acceptance checks.
 
 Each test here covers one observable guarantee of the package: the hand-worked
-examples and the README's library example come out exactly, every matcher
-agrees with the reference matcher on large random and exhaustive input grids,
-the hardness reduction chains agree with brute-force solvers of the source
-problems, multiplicity comparison is exact beyond machine-word sizes, the
-tuned matcher scales near-linearly in both word length and automaton size,
-classical containment agrees with plain enumeration, and oversized analyses
-fail loudly instead of truncating.
+examples, the README's library example and its CLI transcript come out
+exactly, every matcher agrees with the reference matcher on large random and
+exhaustive input grids, the hardness reduction chains agree with brute-force
+solvers of the source problems, multiplicity comparison is exact beyond
+machine-word sizes, the tuned matcher scales near-linearly in both word
+length and automaton size, classical containment agrees with plain
+enumeration, and oversized analyses fail loudly instead of truncating.
 
 Every test prints a one-line summary and enforces its own wall-clock budget.
 """
@@ -17,6 +17,7 @@ import math
 import pathlib
 import random
 import re
+import shlex
 import time
 
 import pytest
@@ -119,6 +120,33 @@ def test_readme_library_example(capsys):
     dt = time.perf_counter() - t0
     assert dt < 1.0
     print(f"pass: README library example prints its {len(want)} commented values in {dt:.3f}s")
+
+
+def test_readme_cli_transcript(tmp_path, monkeypatch, capsys):
+    t0 = time.perf_counter()
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    # in the ``` blocks, each "$ " line is followed by what it prints, up to
+    # the next blank line
+    lines = "\n".join(re.findall(r"^```\n(.*?)^```", text, re.S | re.M)).splitlines()
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("$ "):
+            continue
+        want = list(itertools.takewhile(bool, lines[i + 1 :]))
+        command, *argv = shlex.split(line[2:])
+        if command == "cat":
+            (tmp_path / argv[0]).write_text("\n".join(want) + "\n")
+        elif argv[0] != "bench":  # bench prints timings
+            assert command == "gapsub"
+            run_cli(argv)
+            assert capsys.readouterr().out.splitlines() == want, line
+            ran += 1
+    assert ran == 8
+    dt = time.perf_counter() - t0
+    assert dt < 2.0
+    print(f"pass: README CLI transcript reproduces its {ran} gapsub commands in {dt:.3f}s")
 
 
 EVEN_LEN = Dfa(2, 0, frozenset({0}), ((1, 1), (0, 0)))

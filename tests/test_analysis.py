@@ -11,17 +11,17 @@ from gapsub import (
     GappedSequence,
     InputError,
     LengthGap,
-    RegularGap,
+    UsageError,
     Word,
     ZeroGap,
     classical_containment,
     containment,
     equivalence,
     parikh_k,
-    sigma_star_dfa,
     universality,
 )
 from gapsub import analysis
+from gapsub.cli import run_cli
 from helpers import (
     brute_lang_k,
     plain_subsequence_set,
@@ -129,17 +129,21 @@ def test_budget_guard_raises():
         universality(w("ab"), FREE, AB, budget=3)
 
 
-def test_workers_match_sequential():
-    gc = (LengthGap(0, 2), RegularGap(sigma_star_dfa(2)))
-    wa = w("abbaab")
-    wb = w("aabbab")
-    seq = equivalence(wa, wb, gc, AB, workers=1)
-    par = equivalence(wa, wb, gc, AB, workers=3)
-    assert seq.decision == par.decision
-    assert seq.candidates_checked == par.candidates_checked
-    assert (seq.witness is None) == (par.witness is None)
-    if seq.witness is not None:
-        assert seq.witness.symbols == par.witness.symbols
+def test_workers_other_than_one_are_refused(tmp_path):
+    gc = (LengthGap(0, 2),)
+    for workers in (2, 0):
+        with pytest.raises(UsageError):
+            universality(w("abba"), gc, AB, workers=workers)
+        with pytest.raises(UsageError):
+            containment(w("abba"), w("abab"), gc, AB, workers=workers)
+        with pytest.raises(UsageError):
+            equivalence(w("abba"), w("abab"), gc, AB, workers=workers)
+    assert universality(w("abba"), gc, AB, workers=1).decision
+    c = tmp_path / "c"
+    c.write_text("k 2\nL 0 inf\n")
+    argv = ["analyze", "uni", "-w", "abba", "-c", str(c)]
+    assert run_cli(argv) == 0
+    assert run_cli(argv + ["--workers", "2"]) == 2
 
 
 def _report_triple(rep):
@@ -160,13 +164,13 @@ def _memo_instances(seed, count):
         yield sigma, gc, wa, wb
 
 
-def _check_against_reference(sigma, gc, wa, wb, workers=1):
+def _check_against_reference(sigma, gc, wa, wb):
     ab = Alphabet(sigma)
-    uni = universality(wa, gc, ab, workers=workers)
+    uni = universality(wa, gc, ab)
     assert _report_triple(uni) == reference_universality(wa, gc, sigma)
-    con = containment(wa, wb, gc, ab, workers=workers)
+    con = containment(wa, wb, gc, ab)
     assert _report_triple(con) == reference_containment(wa, wb, gc, sigma)
-    equ = equivalence(wa, wb, gc, ab, workers=workers)
+    equ = equivalence(wa, wb, gc, ab)
     assert _report_triple(equ) == reference_equivalence(wa, wb, gc, sigma)
     return uni.spreads + con.spreads + equ.spreads
 
@@ -182,11 +186,6 @@ def test_memoised_search_matches_plain_dfs(monkeypatch):
     # the memo never adds spreads, and it did skip some subtrees
     assert all(m <= p for m, p in zip(spreads_memo, spreads_plain))
     assert sum(spreads_memo) < sum(spreads_plain)
-
-
-def test_memoised_search_in_pool_matches_plain_dfs():
-    for inst in _memo_instances("pool", 6):
-        _check_against_reference(*inst, workers=2)
 
 
 def test_unary_universality_needs_no_recursion():

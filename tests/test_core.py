@@ -75,6 +75,13 @@ def test_constraint_validation():
     LengthGap(0, INF)
     with pytest.raises(InputError):
         RegLenGap(2, 1, sigma_star_dfa(2))
+    # window bounds are non-bool ints (hi may also be INF), in both classes
+    for lo, hi in ((1.5, 3), ("a", 3), (True, 3), (None, 3), (0, 2.5), (0, "b"), (0, False)):
+        with pytest.raises(InputError):
+            LengthGap(lo, hi)
+        with pytest.raises(InputError):
+            RegLenGap(lo, hi, sigma_star_dfa(2))
+    RegLenGap(0, INF, sigma_star_dfa(2))
 
     class RunOnly:
         def run(self, gap):

@@ -13,8 +13,9 @@ sys.path[:0] = [SRC, *site.getsitepackages()]
 import gapsub, gapsub.cli
 from gapsub import GappedSequence, LengthGap, Word, match
 assert match(Word((1, 2, 1)), GappedSequence(Word((1, 1)), (LengthGap(0, 3),))).positions == (1, 3)
-# __mp_main__ is multiprocessing's alias of __main__
-allowed = set(sys.stdlib_module_names) | {"gapsub", "__main__", "__mp_main__"}
+# the analyses are sequential: nothing may pull in a process pool
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
+allowed = set(sys.stdlib_module_names) | {"gapsub", "__main__"}
 print(sorted({name.partition(".")[0] for name in sys.modules} - allowed))
 """
 
