@@ -207,6 +207,7 @@ def containment(
     string embedding in w but not in w2.  workers must be 1.
     """
     _check_workers(workers)
+    gc = tuple(gc)
     gcl, _ = _prepare(w, gc, alphabet)
     gcr, _ = _prepare(w2, gc, alphabet)
     sigma = alphabet.size
@@ -233,6 +234,7 @@ def equivalence(
     workers must be 1.
     """
     _check_workers(workers)
+    gc = tuple(gc)
     first = containment(w, w2, gc, alphabet, budget=budget)
     if not first.decision:
         return first

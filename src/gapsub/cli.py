@@ -16,8 +16,11 @@ graph file        vertices N, then edge u v lines
 eq file           pairs of gap indices, one 'i j' per line
 
 A -w/-p/-W value is taken verbatim as a char-mode word, or read from a
-word file when it starts with '@'.  Exit codes: 0 yes/true, 1 no/false,
-2 usage or data error (witnesses are never printed on exit 2).
+word file when it starts with '@'.  Every command's inputs pass through one
+loader: _read_text reads each named file, and the commands that take a
+constraint file check its DFAs against the session alphabet in _load.
+Exit codes: 0 yes/true, 1 no/false, 2 usage or data error (witnesses are
+never printed on exit 2).
 """
 
 from __future__ import annotations
@@ -85,6 +88,15 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _read_text(path: str, what: str) -> str:
+    """The one reader of user-named input files."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def _int(tok: str, what: str) -> int:
     try:
         return int(tok)
@@ -140,12 +152,7 @@ def parse_word_text(text: str) -> WordInput:
 def load_word_value(value: str) -> WordInput:
     """'@path' reads a word file; anything else is a literal char-mode word."""
     if value.startswith("@"):
-        path = value[1:]
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                return parse_word_text(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read word file {path}: {exc}") from None
+        return parse_word_text(_read_text(value[1:], "word"))
     return WordInput(char_text=value)
 
 
@@ -298,11 +305,7 @@ def parse_constraints_text(text: str, base_dir: str = ".") -> tuple[int, tuple[G
     def load_dfa(path: str) -> Dfa:
         full = os.path.join(base_dir, path)
         if full not in dfas:
-            try:
-                with open(full, "r", encoding="ascii") as fh:
-                    dfas[full] = parse_dfa_text(fh.read())
-            except OSError as exc:
-                raise InputError(f"cannot read dfa file {full}: {exc}") from None
+            dfas[full] = parse_dfa_text(_read_text(full, "dfa"))
         return dfas[full]
 
     out: list[GapConstraint] = []
@@ -336,12 +339,7 @@ def serialize_constraints_text(k: int, gc: Sequence[GapConstraint]) -> str:
 
 
 def read_constraints_file(path: str) -> tuple[int, tuple[GapConstraint, ...]]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read constraint file {path}: {exc}") from None
-    return parse_constraints_text(text, os.path.dirname(path) or ".")
+    return parse_constraints_text(_read_text(path, "constraint"), os.path.dirname(path) or ".")
 
 
 # ---------------------------------------------------------------------------
@@ -535,27 +533,33 @@ def bench_match(
 # commands
 
 
-def _load_session(
-    word_values: Sequence[str], glyphs: Optional[str], sigma: int
-) -> tuple[Alphabet, list[Word], str]:
-    inputs = [load_word_value(v) for v in word_values]
-    return resolve_words(inputs, glyphs, sigma)
+def _load(args, values: Sequence[str]) -> tuple[Alphabet, list[Word], str, tuple[GapConstraint, ...]]:
+    """Session words, then constraints: k must fit a pattern, each DFA the session alphabet."""
+    inputs = [load_word_value(v) for v in values]
+    alphabet, words, mode = resolve_words(inputs, args.glyphs, args.sigma)
+    k, gc = read_constraints_file(args.constraints)
+    if "pattern" in args and k != len(words[1]):
+        raise InputError(f"constraint file is for k {k}, pattern has length {len(words[1])}")
+    check_dfa_alphabet(gc, alphabet.size)
+    return alphabet, words, mode, gc
+
+
+def _pattern_instance(args) -> tuple[Word, GappedSequence]:
+    _, (w, p), _, gc = _load(args, [args.word, args.pattern])
+    return w, GappedSequence(p, gc)
+
+
+def _verdict(label: str, ok: bool, witness: Optional[Word], alphabet: Alphabet, mode: str) -> int:
+    print(f"{label}: {'yes' if ok else 'no'}")
+    if witness is not None:
+        print("witness: " + format_word(witness, alphabet, mode))
+    return 0 if ok else 1
 
 
 def _cmd_match(args) -> int:
-    alphabet, (w, p), _ = _load_session([args.word, args.pattern], args.glyphs, args.sigma)
-    k, gc = read_constraints_file(args.constraints)
-    if k != len(p):
-        raise InputError(f"constraint file is for k {k}, pattern has length {len(p)}")
-    check_dfa_alphabet(gc, alphabet.size)
-    gs = GappedSequence(p, gc)
+    w, gs = _pattern_instance(args)
     if args.eq is not None:
-        try:
-            with open(args.eq, "r", encoding="ascii") as fh:
-                eq = parse_eq_text(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read equality file {args.eq}: {exc}") from None
-        got = match_with_equalities(w, gs, eq)
+        got = match_with_equalities(w, gs, parse_eq_text(_read_text(args.eq, "equality")))
     else:
         got = match(w, gs)
     if got is None:
@@ -571,8 +575,7 @@ def _cmd_analyze(args) -> int:
     if args.mode in ("con", "equ") and args.word2 is None:
         raise InputError(f"analyze {args.mode} needs -W")
     values = [args.word] + ([args.word2] if args.mode in ("con", "equ") else [])
-    alphabet, words, mode = _load_session(values, args.glyphs, args.sigma)
-    k, gc = read_constraints_file(args.constraints)
+    alphabet, words, mode, gc = _load(args, values)
     if args.mode == "uni":
         report = universality(words[0], gc, alphabet, budget=args.budget)
         label = "universal"
@@ -590,34 +593,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    alphabet, (w, p), _ = _load_session([args.word, args.pattern], args.glyphs, args.sigma)
-    k, gc = read_constraints_file(args.constraints)
-    if k != len(p):
-        raise InputError(f"constraint file is for k {k}, pattern has length {len(p)}")
-    check_dfa_alphabet(gc, alphabet.size)
-    total = count_embeddings(w, GappedSequence(p, gc))
+    total = count_embeddings(*_pattern_instance(args))
     print(total)
     return 0 if total > 0 else 1
 
 
 def _cmd_equ_mult(args) -> int:
-    alphabet, (w, w2), mode = _load_session([args.word, args.word2], args.glyphs, args.sigma)
-    k, gc = read_constraints_file(args.constraints)
-    check_dfa_alphabet(gc, alphabet.size)
-    ok, witness = equivalence_with_multiplicities(w, w2, gc)
-    print(f"equivalent: {'yes' if ok else 'no'}")
-    if witness is not None:
-        print("witness: " + format_word(witness, alphabet, mode))
-    return 0 if ok else 1
+    alphabet, (w, w2), mode, gc = _load(args, [args.word, args.word2])
+    return _verdict("equivalent", *equivalence_with_multiplicities(w, w2, gc), alphabet, mode)
 
 
 def _cmd_classic_con(args) -> int:
-    alphabet, (w, w2), mode = _load_session([args.word, args.word2], args.glyphs, args.sigma)
-    ok, witness = classical_containment(w, w2, args.k)
-    print(f"contained: {'yes' if ok else 'no'}")
-    if witness is not None:
-        print("witness: " + format_word(witness, alphabet, mode))
-    return 0 if ok else 1
+    inputs = [load_word_value(args.word), load_word_value(args.word2)]
+    alphabet, (w, w2), mode = resolve_words(inputs, args.glyphs, args.sigma)
+    return _verdict("contained", *classical_containment(w, w2, args.k), alphabet, mode)
 
 
 def _write(path: str, text: str) -> None:
@@ -626,20 +615,10 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _read_or_none(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from None
-
-
 def _cmd_gen(args) -> int:
     prefix = args.out
     kind = args.kind
-    text = _read_or_none(args.infile)
+    text = None if args.infile is None else _read_text(args.infile, "instance")
     if kind == "ov":
         inst = parse_ov_text(text) if text else random_ov(args.n, args.d, args.seed)
         w, gs = ov_to_match(inst)
@@ -713,12 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def word_flags(p, second: bool = False, pattern: bool = False) -> None:
+    def word_flags(p, second: Optional[bool] = None, pattern: bool = False) -> None:
         p.add_argument("-w", "--word", required=True, help="word, or @file")
         if pattern:
             p.add_argument("-p", "--pattern", required=True, help="pattern, or @file")
-        if second:
-            p.add_argument("-W", "--word2", help="second word, or @file")
+        if second is not None:
+            p.add_argument("-W", "--word2", required=second, help="second word, or @file")
         p.add_argument("--glyphs", help="explicit glyph table for char mode")
         p.add_argument("--sigma", type=int, default=0, help="alphabet size for int mode")
 
@@ -731,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="universality, containment, equivalence")
     p.add_argument("mode", choices=["uni", "con", "equ"])
-    word_flags(p, second=True)
+    word_flags(p, second=False)
     p.add_argument("-c", "--constraints", required=True, help="constraint file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_analyze)

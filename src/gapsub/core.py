@@ -14,7 +14,7 @@ glyph table so words can be read and printed as character strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 INF = float("inf")
@@ -187,8 +187,7 @@ def constraint_window(c: GapConstraint, n: int) -> tuple[int, int]:
     if isinstance(c, ZeroGap):
         return (0, 0)
     if isinstance(c, (LengthGap, RegLenGap)):
-        hi = n if c.hi == INF else min(int(c.hi), n)
-        return (c.lo, hi)
+        return (c.lo, n if c.hi == INF else min(c.hi, n))
     return (0, n)
 
 
@@ -352,21 +351,14 @@ def normalize_constraints(
     out: list[GapConstraint] = []
     infeasible = False
     for c in constraints:
-        if isinstance(c, LengthGap):
-            if c.lo > n:
-                infeasible = True
-            hi = n if c.hi == INF else min(int(c.hi), n)
-            hi = max(hi, c.lo)
-            if c.lo == 0 and hi == 0:
-                out.append(ZeroGap())
+        if isinstance(c, (LengthGap, RegLenGap)):
+            lo, hi = constraint_window(c, n)
+            infeasible = infeasible or lo > n
+            hi = max(hi, lo)
+            if isinstance(c, RegLenGap):
+                out.append(RegLenGap(lo, hi, c.dfa))
             else:
-                out.append(LengthGap(c.lo, hi))
-        elif isinstance(c, RegLenGap):
-            if c.lo > n:
-                infeasible = True
-            hi = n if c.hi == INF else min(int(c.hi), n)
-            hi = max(hi, c.lo)
-            out.append(RegLenGap(c.lo, hi, c.dfa))
+                out.append(ZeroGap() if hi == 0 else LengthGap(lo, hi))
         elif isinstance(c, (ZeroGap, RegularGap)):
             out.append(c)
         else:

@@ -266,4 +266,5 @@ def equivalence_with_multiplicities(
     witness, when counts differ, is the lexicographically least length-k
     string whose embedding counts disagree.
     """
+    gc = tuple(gc)
     return path_equivalent(build_counting_nfa(w, gc), build_counting_nfa(w2, gc))

@@ -17,6 +17,7 @@ from gapsub import (
     classical_containment,
     containment,
     equivalence,
+    equivalence_with_multiplicities,
     parikh_k,
     universality,
 )
@@ -76,6 +77,23 @@ def test_containment_directions():
     # the witness embeds in the left word only
     assert rep.witness.symbols in brute_lang_k(w("abab"), FREE, 2, 2)
     assert rep.witness.symbols not in brute_lang_k(w("aab"), FREE, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda gc: universality(w("aab"), gc, AB),
+        lambda gc: containment(w("abba"), w("abab"), gc, AB),
+        lambda gc: equivalence(w("abba"), w("abab"), gc, AB),
+        lambda gc: parikh_k(w("abba"), gc, AB),
+        lambda gc: equivalence_with_multiplicities(w("abba"), w("abab"), gc),
+    ],
+    ids=["universality", "containment", "equivalence", "parikh_k", "equivalence_with_multiplicities"],
+)
+def test_one_shot_constraint_iterables(entry):
+    # each entry point reads gc once, so an iterator answers like the tuple
+    gc = (LengthGap(0, INF), LengthGap(0, 1))
+    assert entry(iter(gc)) == entry(gc)
 
 
 @settings(max_examples=150, deadline=None)

@@ -478,3 +478,43 @@ def test_cli_missing_file_exit_2(capsys):
     code = run_cli(["match", "-w", "@/does/not/exist", "-p", "a", "-c", "/nope"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["match", "-w", "@{d}/missing.word", "-p", "a", "-c", "{d}/c"], "word"),
+        (["match", "-w", "@{d}/latin1.word", "-p", "a", "-c", "{d}/c"], "word"),
+        (["match", "-w", "ab", "-p", "ab", "-c", "{d}/names-missing-dfa"], "dfa"),
+        (["match", "-w", "ab", "-p", "a", "-c", "{d}/missing"], "constraint"),
+        (["match", "-w", "ab", "-p", "a", "-c", "{d}/c", "--eq", "{d}/missing.eq"], "equality"),
+        (["gen", "ov", "--in", "{d}/missing.ov", "--out", "{d}/out"], "instance"),
+        (["gen", "ov", "--in", "", "--out", "{d}/out"], "instance"),
+    ],
+    ids=["word", "non-ascii-word", "dfa", "constraint", "equality", "instance", "empty-instance-path"],
+)
+def test_cli_unreadable_input_exit_2(tmp_path, capsys, argv, kind):
+    (tmp_path / "c").write_text("k 1\n")
+    (tmp_path / "names-missing-dfa").write_text("k 2\nR missing.dfa\n")
+    (tmp_path / "latin1.word").write_bytes(b"word \xe9\n")
+    code = run_cli([a.format(d=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: cannot read {kind} file " in captured.err
+
+
+def test_cli_second_word_is_required(tmp_path, capsys):
+    c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
+    for argv in (["equ-mult", "-w", "ab", "-c", c], ["classic-con", "-w", "ab", "-k", "2"]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "-W/--word2" in captured.err
+
+
+def test_cli_empty_pattern_embeds_once(tmp_path, capsys):
+    # the empty embedding has length 0: it is a match, not a falsy miss
+    c = _write_constraints(tmp_path, "c", "k 0\n")
+    assert run_cli(["match", "-w", "ab", "-p", "", "-c", c]) == 0
+    assert capsys.readouterr().out == "match: yes\n"
+    assert run_cli(["count", "-w", "ab", "-p", "", "-c", c]) == 0
+    assert capsys.readouterr().out == "1\n"
