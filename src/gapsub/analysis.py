@@ -38,19 +38,18 @@ from .automata import (
     product_shortest_accepted,
 )
 from .core import (
+    DEFAULT_BUDGET,
+    INF,
     Alphabet,
-    BudgetError,
     GapConstraint,
     InputError,
     NormalizedConstraints,
     UsageError,
     Word,
-    check_dfa_alphabet,
+    check_budget,
     normalize_constraints,
 )
 from .matchers import GapStep, position_masks
-
-DEFAULT_BUDGET = 1 << 20
 
 # Frontier bits the memo of one search may hold (8 MiB of masks); past
 # this the search inserts nothing more and runs on with what it has.
@@ -101,27 +100,20 @@ class _AllStrings:
         return 1
 
 
-def _check_budget(sigma: int, k: int, budget: int) -> None:
-    total = sigma**k
-    if total > budget:
-        raise BudgetError(
-            f"enumerating {sigma}^{k} = {total} candidates exceeds the budget of {budget}"
-        )
-
-
 def _check_workers(workers: int) -> None:
     # kept only so that callers passing workers=1 keep working
     if workers != 1:
         raise UsageError(f"the analysis search is sequential; workers must be 1, not {workers}")
 
 
-def _prepare(w: Word, gc, alphabet: Alphabet) -> NormalizedConstraints:
-    """The one analysis preamble: w over the alphabet, every constraint DFA
-    covering it, and the constraints normalized against |w|."""
+def _prepare(w: Word, gc, alphabet: Alphabet, budget: int) -> NormalizedConstraints:
+    """The one analysis preamble: w over the alphabet, the constraints
+    checked and normalized against |w|, and sigma**k within the budget."""
     alphabet.validate_word(w)
-    gc = tuple(gc)
-    check_dfa_alphabet(gc, alphabet.size)
-    return normalize_constraints(gc, len(w))
+    out = normalize_constraints(gc, len(w), alphabet.size)
+    k = len(out.constraints) + 1
+    check_budget(alphabet.size**k, f"{alphabet.size}^{k} candidates", budget)
+    return out
 
 
 def _search(left, right, sigma: int, k: int) -> AnalysisReport:
@@ -185,10 +177,9 @@ def universality(
     workers must be 1.
     """
     _check_workers(workers)
-    gc, _ = _prepare(w, gc, alphabet)
+    gc, _ = _prepare(w, gc, alphabet, budget)
     sigma = alphabet.size
     k = len(gc) + 1
-    _check_budget(sigma, k, budget)
     return _search(_AllStrings(sigma), _WordFrontier(w.symbols, gc, sigma), sigma, k)
 
 
@@ -208,11 +199,11 @@ def containment(
     """
     _check_workers(workers)
     gc = tuple(gc)
-    gcl, _ = _prepare(w, gc, alphabet)
-    gcr, _ = _prepare(w2, gc, alphabet)
+    # the budget is checked once w2 is validated too, as for a single word
+    gcl, _ = _prepare(w, gc, alphabet, INF)
+    gcr, _ = _prepare(w2, gc, alphabet, budget)
     sigma = alphabet.size
     k = len(gcl) + 1
-    _check_budget(sigma, k, budget)
     left = _WordFrontier(w.symbols, gcl, sigma)
     right = _WordFrontier(w2.symbols, gcr, sigma)
     return _search(left, right, sigma, k)

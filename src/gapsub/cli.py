@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .analysis import (
-    DEFAULT_BUDGET,
     classical_containment,
     containment,
     equivalence,
@@ -45,6 +44,7 @@ from .analysis import (
 )
 from .automata import Dfa, dfa_validate
 from .core import (
+    DEFAULT_BUDGET,
     INF,
     Alphabet,
     GapConstraint,
@@ -231,6 +231,8 @@ def parse_dfa_text(text: str) -> Dfa:
     for line in _content_lines(text):
         toks = line.split()
         key = toks[0]
+        if key in ("states", "initial", "alphabet") and len(toks) != 2:
+            raise InputError(f"bad dfa {key} line {line!r}")
         if key == "states":
             num_states = _int(toks[1], "dfa states line")
         elif key == "initial":
@@ -414,6 +416,8 @@ def parse_graph_text(text: str) -> Graph:
     for line in _content_lines(text):
         toks = line.split()
         if toks[0] == "vertices":
+            if len(toks) != 2:
+                raise InputError(f"bad vertices line {line!r}")
             num_vertices = _int(toks[1], "vertices line")
         elif toks[0] == "edge":
             if len(toks) != 3:
@@ -610,17 +614,21 @@ def _cmd_classic_con(args) -> int:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
     print(f"wrote {path}")
 
 
 def _cmd_gen(args) -> int:
     prefix = args.out
     kind = args.kind
-    text = None if args.infile is None else _read_text(args.infile, "instance")
+    given = args.infile is not None  # an empty --in file is an error, not "no --in"
+    text = _read_text(args.infile, "instance") if given else ""
     if kind == "ov":
-        inst = parse_ov_text(text) if text else random_ov(args.n, args.d, args.seed)
+        inst = parse_ov_text(text) if given else random_ov(args.n, args.d, args.seed)
         w, gs = ov_to_match(inst)
         _write(prefix + ".ov", serialize_ov_text(inst))
         _write(prefix + ".word", serialize_word_text(w, OV_ALPHABET, "char"))
@@ -628,11 +636,11 @@ def _cmd_gen(args) -> int:
         _write(prefix + ".constraints", serialize_constraints_text(len(gs.pattern), gs.constraints))
     elif kind in ("sat-nuni", "kis-nuni"):
         if kind == "sat-nuni":
-            f = parse_cnf_text(text) if text else random_cnf(args.vars, args.clauses, args.seed)
+            f = parse_cnf_text(text) if given else random_cnf(args.vars, args.clauses, args.seed)
             meta = sat_to_metanuni(f)
             _write(prefix + ".cnf", serialize_cnf_text(f))
         else:
-            g = parse_graph_text(text) if text else random_graph(args.vertices, args.edges, args.seed)
+            g = parse_graph_text(text) if given else random_graph(args.vertices, args.edges, args.seed)
             meta = kis_to_metanuni(g, args.k)
             _write(prefix + ".graph", serialize_graph_text(g))
         w, gc = metanuni_to_nuni(meta)
@@ -640,18 +648,14 @@ def _cmd_gen(args) -> int:
         _write(prefix + ".word", serialize_word_text(w, alphabet, "int"))
         _write(prefix + ".constraints", serialize_constraints_text(meta.k, gc))
     elif kind == "sat-nuni-bin":
-        f = parse_cnf_text(text) if text else random_cnf(args.vars, args.clauses, args.seed)
+        f = parse_cnf_text(text) if given else random_cnf(args.vars, args.clauses, args.seed)
         s, gc, ref = sat_to_nuni_binary(f)
         _write(prefix + ".cnf", serialize_cnf_text(f))
         _write(prefix + ".word", serialize_word_text(s, BIN_ALPHABET, "char"))
         _write(prefix + ".reference", serialize_word_text(ref, BIN_ALPHABET, "char"))
         _write(prefix + ".constraints", serialize_constraints_text(2 * f.num_vars, gc))
     elif kind == "sat-eq":
-        f = (
-            parse_cnf_text(text)
-            if text
-            else random_cnf(args.vars, args.clauses, args.seed, arity=3)
-        )
+        f = parse_cnf_text(text) if given else random_cnf(args.vars, args.clauses, args.seed, arity=3)
         w, gs, eq = sat_to_match_equalities(f)
         _write(prefix + ".cnf", serialize_cnf_text(f))
         _write(prefix + ".word", serialize_word_text(w, BIT_ALPHABET, "char"))

@@ -36,6 +36,16 @@ class BudgetError(GapsubError):
     """An enumeration would exceed the configured size budget."""
 
 
+DEFAULT_BUDGET = 1 << 20
+
+
+def check_budget(total: int, what: str, budget: int) -> None:
+    """The one refusal of an oversized enumeration.  what names the total
+    symbolically ("2^30 candidates"): its decimal form can be too long to print."""
+    if total > budget:
+        raise BudgetError(f"enumerating {what} exceeds the budget of {budget}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Symbol universe 1..size with an optional glyph per symbol."""
@@ -338,16 +348,19 @@ class NormalizedConstraints(NamedTuple):
 
 
 def normalize_constraints(
-    constraints: Iterable[GapConstraint], n: int
+    constraints: Iterable[GapConstraint], n: int, sigma: int
 ) -> NormalizedConstraints:
-    """Clamp windows against word length n.
+    """The library's one constraint boundary: check, then clamp against n.
 
-    Upper bounds become min(hi, n); a (0,0) window becomes ZeroGap; the
-    infeasible flag is set when some lower bound exceeds n (that constraint
-    can never be met inside a word of length n).  Every entry point calls
-    this, so it is where an object that is not a gap constraint raises
-    InputError.
+    Every entry point calls this (or normalize), so it is where a DFA that
+    does not cover the symbols 1..sigma (see check_dfa_alphabet) and an
+    object that is not a gap constraint raise InputError.  Upper bounds
+    become min(hi, n); a (0,0) window becomes ZeroGap; the infeasible flag
+    is set when some lower bound exceeds n (that constraint can never be
+    met inside a word of length n).
     """
+    constraints = tuple(constraints)
+    check_dfa_alphabet(constraints, sigma)
     out: list[GapConstraint] = []
     infeasible = False
     for c in constraints:
@@ -366,9 +379,9 @@ def normalize_constraints(
     return NormalizedConstraints(tuple(out), infeasible)
 
 
-def normalize(gs: GappedSequence, n: int) -> Normalized:
-    """Normalize all windows of gs against word length n (see normalize_constraints)."""
-    cs, infeasible = normalize_constraints(gs.constraints, n)
+def normalize(gs: GappedSequence, n: int, sigma: int) -> Normalized:
+    """Check and normalize the constraints of gs (see normalize_constraints)."""
+    cs, infeasible = normalize_constraints(gs.constraints, n, sigma)
     return Normalized(GappedSequence(gs.pattern, cs), infeasible)
 
 

@@ -63,7 +63,6 @@ from .core import (
     UsageError,
     Word,
     ZeroGap,
-    check_dfa_alphabet,
     constraint_allows,
     constraint_dfa,
     constraint_window,
@@ -173,8 +172,7 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
-    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
-    gs, infeasible = normalize(gs, len(w))
+    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
     if infeasible:
         return None
     syms = w.symbols
@@ -499,8 +497,7 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
-    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
-    gs, infeasible = normalize(gs, len(w))
+    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
     if infeasible:
         return None
     syms = w.symbols
@@ -621,7 +618,7 @@ def match_with_equalities(
     every class fixed to its length, from match_naive, which is no slower
     than match on these length-only leaves.
     """
-    gs, infeasible = normalize(gs, len(w))
+    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
     for c in gs.constraints:
         if not isinstance(c, (ZeroGap, LengthGap)):
             raise UsageError("equality matching handles zero and length constraints only")

@@ -23,12 +23,12 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .analysis import DEFAULT_BUDGET, _check_budget, _prepare
+from .analysis import _prepare
 from .core import (
+    DEFAULT_BUDGET,
     Alphabet,
     GappedSequence,
     Word,
-    check_dfa_alphabet,
     normalize,
     normalize_constraints,
 )
@@ -44,8 +44,7 @@ def count_embeddings(w: Word, gs: GappedSequence) -> int:
     """Number of embeddings of gs in w, exact."""
     if len(gs.pattern) == 0:
         return 1
-    check_dfa_alphabet(gs.constraints, max(w.symbols, default=0))
-    gs, infeasible = normalize(gs, len(w))
+    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
     if infeasible:
         return 0
     syms = w.symbols
@@ -71,10 +70,9 @@ def parikh_k(
     Only strings with a positive count appear, in lexicographic order.
     Raises BudgetError when sigma**(len(gc)+1) exceeds the budget.
     """
-    gc, infeasible = _prepare(w, gc, alphabet)
+    gc, infeasible = _prepare(w, gc, alphabet, budget)
     sigma = alphabet.size
     k = len(gc) + 1
-    _check_budget(sigma, k, budget)
     out: dict[Word, int] = {}
     if infeasible:
         return out
@@ -186,10 +184,9 @@ class CountingNfa:
 
 def build_counting_nfa(w: Word, gc) -> CountingNfa:
     """Counting automaton of w under gc (see CountingNfa)."""
-    gc = tuple(gc)
-    check_dfa_alphabet(gc, max(w.symbols, default=1))
-    gcn, _ = normalize_constraints(gc, len(w))
-    return CountingNfa(w, gcn, max(w.symbols, default=1))
+    sigma = max(w.symbols, default=1)
+    gcn, _ = normalize_constraints(gc, len(w), sigma)
+    return CountingNfa(w, gcn, sigma)
 
 
 def _insert_basis(vec: dict[int, int], basis: dict[int, dict[int, int]]) -> bool:

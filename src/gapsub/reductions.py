@@ -20,17 +20,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import DEFAULT_BUDGET
 from .core import (
+    DEFAULT_BUDGET,
     INF,
     Alphabet,
-    BudgetError,
     GapConstraint,
     GappedSequence,
     InputError,
     LengthGap,
     Word,
     ZeroGap,
+    check_budget,
 )
 from .matchers import EqualitySystem
 
@@ -193,10 +193,7 @@ class CnfFormula:
 
 def solve_sat_bruteforce(f: CnfFormula, budget: int = DEFAULT_BUDGET) -> bool:
     """Satisfiability by assignment enumeration, guarded by the budget."""
-    if 2**f.num_vars > budget:
-        raise BudgetError(
-            f"enumerating 2^{f.num_vars} assignments exceeds the budget of {budget}"
-        )
+    check_budget(2**f.num_vars, f"2^{f.num_vars} assignments", budget)
     for bits in range(2**f.num_vars):
         ok = True
         for clause in f.clauses:
@@ -273,10 +270,7 @@ def solve_kis_bruteforce(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool
         return True
     if k > g.num_vertices:
         return False
-    if comb(g.num_vertices, k) > budget:
-        raise BudgetError(
-            f"enumerating C({g.num_vertices}, {k}) sets exceeds the budget of {budget}"
-        )
+    check_budget(comb(g.num_vertices, k), f"C({g.num_vertices}, {k}) sets", budget)
     edge_set = {e for e in g.edges if e[0] != e[1]}
     for combo in combinations(range(1, g.num_vertices + 1), k):
         if all(
@@ -339,11 +333,7 @@ def metanuni_holds_bruteforce(inst: MetaNUniInstance, budget: int = DEFAULT_BUDG
     """True iff some string in Gamma^k is covered by no row."""
     from itertools import product
 
-    total = inst.gamma_size**inst.k
-    if total > budget:
-        raise BudgetError(
-            f"enumerating {inst.gamma_size}^{inst.k} strings exceeds the budget of {budget}"
-        )
+    check_budget(inst.gamma_size**inst.k, f"{inst.gamma_size}^{inst.k} strings", budget)
     for x in product(range(1, inst.gamma_size + 1), repeat=inst.k):
         if not any(
             all(x[j] in row[j] for j in range(inst.k)) for row in inst.rows

@@ -147,6 +147,18 @@ def test_budget_guard_raises():
         universality(w("ab"), FREE, AB, budget=3)
 
 
+def test_budget_refusal_names_sigma_k_without_its_value():
+    # 2^14301 has more decimal digits than int-to-str conversion allows
+    gc = [LengthGap(0, INF)] * 14300
+    for call in (
+        lambda: universality(Word((1, 2)), gc, AB),
+        lambda: containment(Word((1, 2)), Word((2, 1)), gc, AB),
+        lambda: parikh_k(Word((1, 2)), gc, AB),
+    ):
+        with pytest.raises(BudgetError, match=r"enumerating 2\^14301 candidates exceeds"):
+            call()
+
+
 def test_workers_other_than_one_are_refused(tmp_path):
     gc = (LengthGap(0, 2),)
     for workers in (2, 0):

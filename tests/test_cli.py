@@ -270,6 +270,14 @@ def test_cli_analyze_budget_exit(tmp_path, capsys):
     assert "budget" in captured.err.lower()
 
 
+def test_cli_analyze_budget_refusal_of_a_huge_k(tmp_path, capsys):
+    c = _write_constraints(tmp_path, "c", "k 14301\n" + "L 0 inf\n" * 14300)
+    code = run_cli(["analyze", "uni", "-w", "ab", "-c", c])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "2^14301 candidates exceeds the budget" in captured.err
+
+
 def test_cli_count(tmp_path, capsys):
     c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
     code = run_cli(["count", "-w", "bbaa", "-p", "ba", "-c", c])
@@ -501,6 +509,43 @@ def test_cli_unreadable_input_exit_2(tmp_path, capsys, argv, kind):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"error: cannot read {kind} file " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["match", "-w", "ab", "-p", "ab", "-c", "{d}/c"], "states\ninitial 0\nalphabet 2\n"),
+        (["match", "-w", "ab", "-p", "ab", "-c", "{d}/c"], "states 1\ninitial\nalphabet 2\n"),
+        (["match", "-w", "ab", "-p", "ab", "-c", "{d}/c"], "states 1\ninitial 0\nalphabet\n"),
+        (["gen", "kis-nuni", "--in", "{d}/in", "--out", "{d}/out"], "vertices\n"),
+    ],
+    ids=["states", "initial", "alphabet", "vertices"],
+)
+def test_cli_directive_without_value_exit_2(tmp_path, capsys, argv, text):
+    # the text is the DFA file the constraint file names, or the graph file
+    (tmp_path / "in").write_text(text)
+    (tmp_path / "c").write_text("k 2\nR in\n")
+    code = run_cli([a.format(d=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: bad " in captured.err
+
+
+def test_cli_gen_empty_input_file_exit_2(tmp_path, capsys):
+    (tmp_path / "empty.ov").write_text("")
+    code = run_cli(["gen", "ov", "--in", str(tmp_path / "empty.ov"), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "empty ov file" in captured.err
+    assert not (tmp_path / "x.ov").exists()
+
+
+def test_cli_gen_unwritable_output_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x"
+    code = run_cli(["gen", "ov", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: cannot write {out}.ov: " in captured.err
 
 
 def test_cli_second_word_is_required(tmp_path, capsys):

@@ -180,32 +180,32 @@ def test_embedding_gap_extraction():
 
 
 def test_normalize_clamps_and_rewrites():
-    nc = normalize_constraints((LengthGap(0, INF),), 5)
+    nc = normalize_constraints((LengthGap(0, INF),), 5, 1)
     assert nc.constraints == (LengthGap(0, 5),)
     assert not nc.infeasible
-    nc = normalize_constraints((LengthGap(0, 0),), 5)
+    nc = normalize_constraints((LengthGap(0, 0),), 5, 1)
     assert nc.constraints == (ZeroGap(),)
-    nc = normalize_constraints((LengthGap(7, 9),), 5)
+    nc = normalize_constraints((LengthGap(7, 9),), 5, 1)
     assert nc.infeasible
     # reg-len windows clamp but stay reg-len: the dfa still filters
     star = sigma_star_dfa(1)
-    nc = normalize_constraints((RegLenGap(0, INF, star),), 4)
+    nc = normalize_constraints((RegLenGap(0, INF, star),), 4, 1)
     (c,) = nc.constraints
     assert isinstance(c, RegLenGap) and (c.lo, c.hi) == (0, 4)
 
 
 def test_normalize_gapped_sequence():
     gs = GappedSequence(w("aa"), (LengthGap(2, INF),))
-    norm, infeasible = normalize(gs, 3)
+    norm, infeasible = normalize(gs, 3, 1)
     assert not infeasible
     assert norm.constraints == (LengthGap(2, 3),)
-    _, infeasible = normalize(gs, 1)
+    _, infeasible = normalize(gs, 1, 1)
     assert infeasible
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 10))
 def test_normalize_window_invariants(lo, extra, n):
-    nc = normalize_constraints((LengthGap(lo, lo + extra),), n)
+    nc = normalize_constraints((LengthGap(lo, lo + extra),), n, 1)
     if nc.infeasible:
         assert lo > n
     else:
@@ -290,6 +290,13 @@ def test_dfa_alphabet_boundary_in_every_entry_point():
             call()
 
 
+def test_normalize_constraints_checks_dfa_coverage():
+    gc = (RegularGap(sigma_star_dfa(2)),)
+    assert normalize_constraints(iter(gc), 4, 2).constraints == gc
+    with pytest.raises(InputError, match="covers 2 symbols, the alphabet has 3"):
+        normalize_constraints(gc, 4, 3)
+
+
 def test_foreign_constraint_rejected_by_every_entry_point():
     from gapsub import (
         EqualitySystem,
@@ -309,7 +316,7 @@ def test_foreign_constraint_rejected_by_every_entry_point():
     gc = ("junk",)
     gs = GappedSequence(Word((1, 2)), gc)
     calls = [
-        lambda: normalize_constraints(gc, 4),
+        lambda: normalize_constraints(gc, 4, 2),
         lambda: match(word, gs),
         lambda: match_naive(word, gs),
         lambda: match_with_equalities(word, gs, EqualitySystem.from_pairs([])),

@@ -357,6 +357,13 @@ def test_equality_matching_rejects_dfa_constraints():
         match_with_equalities(w("ab"), gs, EqualitySystem.from_pairs([]))
 
 
+def test_equality_matching_checks_dfa_coverage_first():
+    # like every entry point, it refuses a DFA that misses a word symbol
+    gs = GappedSequence(w("ab"), (RegularGap(sigma_star_dfa(1)),))
+    with pytest.raises(InputError, match="covers 1 symbols"):
+        match_with_equalities(w("ab"), gs, EqualitySystem.from_pairs([]))
+
+
 def test_zero_gap_forces_contiguity():
     word = w("abab")
     gs = GappedSequence(w("ab"), (ZeroGap(),))
