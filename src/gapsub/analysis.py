@@ -41,7 +41,6 @@ from .core import (
     DEFAULT_BUDGET,
     INF,
     Alphabet,
-    GapConstraint,
     InputError,
     NormalizedConstraints,
     UsageError,
@@ -67,12 +66,11 @@ class AnalysisReport:
 class _WordFrontier:
     """Frontier arithmetic for one word under normalized constraints."""
 
-    def __init__(self, syms: tuple[int, ...], gc: tuple[GapConstraint, ...], sigma: int):
-        n = len(syms)
+    def __init__(self, syms: tuple[int, ...], gc: NormalizedConstraints, sigma: int):
         masks = position_masks(syms, range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
-        self.steps = [GapStep(syms, c) for c in gc]
-        self.dead = any(step.lo > n for step in self.steps)
+        self.steps = [GapStep(syms, c) for c in gc.constraints]
+        self.dead = gc.infeasible
         self.spreads = 0
 
     def spread(self, frontier: int, t: int) -> int:
@@ -177,9 +175,9 @@ def universality(
     workers must be 1.
     """
     _check_workers(workers)
-    gc, _ = _prepare(w, gc, alphabet, budget)
+    gc = _prepare(w, gc, alphabet, budget)
     sigma = alphabet.size
-    k = len(gc) + 1
+    k = len(gc.constraints) + 1
     return _search(_AllStrings(sigma), _WordFrontier(w.symbols, gc, sigma), sigma, k)
 
 
@@ -200,10 +198,10 @@ def containment(
     _check_workers(workers)
     gc = tuple(gc)
     # the budget is checked once w2 is validated too, as for a single word
-    gcl, _ = _prepare(w, gc, alphabet, INF)
-    gcr, _ = _prepare(w2, gc, alphabet, budget)
+    gcl = _prepare(w, gc, alphabet, INF)
+    gcr = _prepare(w2, gc, alphabet, budget)
     sigma = alphabet.size
-    k = len(gcl) + 1
+    k = len(gcl.constraints) + 1
     left = _WordFrontier(w.symbols, gcl, sigma)
     right = _WordFrontier(w2.symbols, gcr, sigma)
     return _search(left, right, sigma, k)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc as _gc  # bare 'gc' names constraint tuples in this module
+import io
 import os
 import random
 import statistics
@@ -505,6 +506,8 @@ def bench_match(
     ratios between sizes.  The column is named mean_ns for format
     stability; the value recorded is the median over the trials.
     """
+    if trials < 1:
+        raise InputError(f"--trials must be at least 1, not {trials}")
     instances = [bench_instance(n, k, states, algo, seed) for n in sizes]
     for w, gs in instances:
         if match(w, gs) is None:
@@ -614,8 +617,9 @@ def _cmd_classic_con(args) -> int:
 
 
 def _write(path: str, text: str) -> None:
+    # newline="" writes text's line endings verbatim, such as csv's \r\n
     try:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
@@ -679,11 +683,11 @@ def _cmd_bench(args) -> int:
     )
     fields = ["algo", "n", "k", "states", "mean_ns"]
     if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {args.csv}")
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args.csv, buf.getvalue())
     for row in rows:
         print(",".join(str(row[f]) for f in fields))
     return 0

@@ -1,18 +1,20 @@
 """Embedding multiplicities: exact counts and count-preserving equivalence.
 
 Two words are multiplicity-equivalent when every length-k string embeds
-in both the same number of times.  Counts move from one pattern symbol
-to the next through GapStep.reach_counts, the count-valued gap step of
-matchers.py, and a filter on the next symbol; this module has no gap walk
-of its own.  count_embeddings takes that step once per gap, parikh_k once
-per node of its search over prefixes, and CountingNfa.step once per
-symbol on a path-count vector of the counting automaton, whose paths
-labelled p correspond one-to-one to the embeddings of p.  Equivalence of
-two counting automata is decided exactly, without enumerating strings, by
-a basis computation over the reachable path-count vectors (Tzeng, SIAM J.
-Comput. 1992); arithmetic is integer and exact, so counts beyond machine
-range are handled verbatim.  The witness of a difference is the least
-length-k string, in lexicographic order, whose counts differ.
+in both the same number of times.  One counting engine, CountingNfa,
+serves the module: its paths labelled p correspond one-to-one to the
+embeddings of p, and it moves a path-count vector on by one symbol with
+one spread across the next gap (GapStep.reach_counts, the count-valued
+gap step of matchers.py) and one filter on the symbol; this module has
+no gap walk of its own.  count_embeddings steps it along the pattern,
+parikh_k searches its prefixes depth-first in lexicographic order, and
+path_equivalent spreads each vector once for all symbols.  Equivalence
+of two counting automata is decided exactly, without enumerating
+strings, by a basis computation over the reachable path-count vectors
+(Tzeng, SIAM J. Comput. 1992); arithmetic is integer and exact, so
+counts beyond machine range are handled verbatim.  The witness of a
+difference is the least length-k string, in lexicographic order, whose
+counts differ.
 """
 
 from __future__ import annotations
@@ -35,31 +37,19 @@ from .core import (
 from .matchers import GapStep, _iter_bits
 
 
-def _indicators(syms: tuple[int, ...]) -> dict[int, list[int]]:
-    """Per symbol a of the word, the 0/1 list over positions 0..n holding a."""
-    return {a: [0] + [int(s == a) for s in syms] for a in set(syms)}
-
-
 def count_embeddings(w: Word, gs: GappedSequence) -> int:
     """Number of embeddings of gs in w, exact."""
     if len(gs.pattern) == 0:
         return 1
-    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
+    sigma = max(w.symbols, default=0)
+    gs, infeasible = normalize(gs, len(w), sigma)
     if infeasible:
         return 0
-    syms = w.symbols
-    p = gs.pattern.symbols
-    at = _indicators(syms)
-    if p[0] not in at:
-        return 0
-    cur = at[p[0]]
-    for c, a in zip(gs.constraints, p[1:]):
-        if a not in at:
-            return 0
-        cur = list(map(mul, GapStep(syms, c).reach_counts(cur), at[a]))
-        if not any(cur):
-            return 0
-    return sum(cur)
+    nfa = CountingNfa(w, gs.constraints, sigma)
+    vec = nfa.start()
+    for a in gs.pattern.symbols:
+        vec = nfa.step(vec, a)
+    return nfa.accepted(vec)
 
 
 def parikh_k(
@@ -71,32 +61,20 @@ def parikh_k(
     Raises BudgetError when sigma**(len(gc)+1) exceeds the budget.
     """
     gc, infeasible = _prepare(w, gc, alphabet, budget)
-    sigma = alphabet.size
-    k = len(gc) + 1
     out: dict[Word, int] = {}
     if infeasible:
         return out
-    syms = w.symbols
-    at = _indicators(syms)
-    present = [a for a in range(1, sigma + 1) if a in at]
-    steps = [GapStep(syms, c) for c in gc]
-
-    # the stack pops prefixes in lexicographic order; an entry holds its
-    # last symbol and its parent's spread counts (None for a first symbol),
-    # shared with its siblings
-    path = [0] * k
-    stack = [(1, None, a) for a in reversed(present)]
+    nfa = CountingNfa(w, gc, alphabet.size)
+    # the stack pops prefixes in lexicographic order, each with its
+    # path-count vector; a prefix with no path left is never pushed
+    stack = [((), nfa.start())]
     while stack:
-        d, spread, a = stack.pop()
-        counts = at[a] if spread is None else list(map(mul, spread, at[a]))
-        if not any(counts):
+        prefix, vec = stack.pop()
+        if vec[0] == nfa.k:
+            out[Word(prefix)] = nfa.accepted(vec)
             continue
-        path[d - 1] = a
-        if d == k:
-            out[Word(tuple(path))] = sum(counts)
-            continue
-        spread = steps[d - 1].reach_counts(counts)
-        stack.extend((d + 1, spread, b) for b in reversed(present))
+        nexts = nfa.step_all(vec)
+        stack.extend((prefix + (a,), nexts[a]) for a in reversed(nexts))
     return out
 
 
@@ -112,7 +90,8 @@ class CountingNfa:
     The automaton is held as the word, its normalized constraints and one
     GapStep per constraint.  A count vector (j, counts) gives the number of
     paths ending in each state (i, j) of one layer j, counts indexed by i
-    in 0..n; step moves it on by one symbol through the gap kernel.
+    in 0..n; step moves it on by one symbol, step_all by every symbol at
+    the cost of one spread, and both give None once no path is left.
     transitions lists the explicit transition relation, built on first
     access.
     """
@@ -124,7 +103,9 @@ class CountingNfa:
         self.k = len(constraints) + 1
         self.steps = [GapStep(word.symbols, c) for c in constraints]
         self.initial = (0, 0)
-        self._at = _indicators(word.symbols)
+        # per symbol of the word, ascending: the 0/1 list over positions 0..n holding it
+        syms = word.symbols
+        self._at = {a: [0] + [int(s == a) for s in syms] for a in sorted(set(syms))}
 
     @cached_property
     def states(self) -> tuple[tuple[int, int], ...]:
@@ -163,6 +144,15 @@ class CountingNfa:
         """The count vector of the empty prefix: one path, in (0, 0)."""
         return (0, [1] + [0] * len(self.word))
 
+    def _spread(self, vec: tuple[int, list[int]]) -> list[int]:
+        # counts across the gap after layer j; the prefix before layer 1 is free
+        j, counts = vec
+        return [counts[0]] * len(counts) if j == 0 else self.steps[j - 1].reach_counts(counts)
+
+    def _filter(self, j: int, spread: list[int], a: int) -> Optional[tuple[int, list[int]]]:
+        counts = list(map(mul, spread, self._at[a]))
+        return (j + 1, counts) if any(counts) else None
+
     def step(
         self, vec: Optional[tuple[int, list[int]]], a: int
     ) -> Optional[tuple[int, list[int]]]:
@@ -170,12 +160,18 @@ class CountingNfa:
         state (which never accepts) is reached."""
         if vec is None or vec[0] == self.k or a not in self._at:
             return None
-        j, counts = vec
-        if j == 0:
-            spread = [counts[0]] * len(counts)
-        else:
-            spread = self.steps[j - 1].reach_counts(counts)
-        return (j + 1, list(map(mul, spread, self._at[a])))
+        return self._filter(vec[0], self._spread(vec), a)
+
+    def step_all(
+        self, vec: Optional[tuple[int, list[int]]]
+    ) -> dict[int, tuple[int, list[int]]]:
+        """step(vec, a) for every symbol a it leaves a path for, in
+        increasing order of a, from one spread of vec."""
+        if vec is None or vec[0] == self.k:
+            return {}
+        spread = self._spread(vec)
+        nexts = {a: self._filter(vec[0], spread, a) for a in self._at}
+        return {a: nxt for a, nxt in nexts.items() if nxt is not None}
 
     def accepted(self, vec: Optional[tuple[int, list[int]]]) -> int:
         """Paths of vec that end in a final state."""
@@ -249,8 +245,9 @@ def path_equivalent(
             continue
         if n1.accepted(v1) != n2.accepted(v2):
             return (False, Word(word))
+        s1, s2 = n1.step_all(v1), n2.step_all(v2)
         for a in range(1, sigma + 1):
-            queue.append((word + (a,), (n1.step(v1, a), n2.step(v2, a))))
+            queue.append((word + (a,), (s1.get(a), s2.get(a))))
     return (True, None)
 
 

@@ -58,6 +58,23 @@ def test_universality_yes_and_no():
     assert rep.witness is not None and rep.witness.symbols == w("ba").symbols
 
 
+def test_infeasible_gap_kills_only_that_word():
+    # a gap longer than the word: no string embeds in it, so universality
+    # fails on 1^k and the word's empty set is contained in any other
+    word = w("abab")
+    gc = (LengthGap(len(word) + 1, INF), LengthGap(0, INF))
+    rep = universality(word, gc, AB)
+    assert not rep.decision and rep.witness == Word((1, 1, 1))
+    assert rep.candidates_checked == 1
+    for other in (w("a"), w("ab" * 4), word):
+        rep = containment(word, other, gc, AB)
+        assert rep.decision and rep.witness is None
+        assert rep.candidates_checked == 2**3
+    # the longer word still has its own strings, aab the least of them
+    rep = containment(w("ab" * 4), word, gc, AB)
+    assert not rep.decision and rep.witness == w("aab")
+
+
 def test_universality_witness_is_lex_least_absent():
     # missing strings of aab at k=2: ba and bb; the reported one is lex least
     lang = brute_lang_k(w("aab"), FREE, 2, 2)

@@ -475,6 +475,36 @@ def test_bench_match_rows():
     assert rows[0]["states"] == 4  # two joints at two states each
 
 
+def test_cli_bench_csv_keeps_crlf_rows(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    code = run_cli(["bench", "--algo", "length", "--sizes", "200", "--trials", "1", "--csv", str(csv_path)])
+    assert code == 0
+    assert f"wrote {csv_path}" in capsys.readouterr().out
+    data = csv_path.read_bytes()
+    assert data.startswith(b"algo,n,k,states,mean_ns\r\nlength,200,3,")
+    assert data.endswith(b"\r\n") and data.count(b"\n") == 2
+
+
+def test_cli_bench_unwritable_csv_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.csv"
+    code = run_cli(["bench", "--algo", "length", "--sizes", "200", "--trials", "1", "--csv", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_bench_refuses_fewer_than_one_trial(trials, capsys):
+    code = run_cli(["bench", "--algo", "length", "--sizes", "200", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--trials must be at least 1, not {trials}" in captured.err
+    assert captured.out == ""
+    with pytest.raises(InputError, match="at least 1"):
+        bench_match("length", [100], trials=0)
+
+
 def test_cli_usage_error_exit_2(capsys):
     assert run_cli(["match", "-w", "ab"]) == 2
     capsys.readouterr()

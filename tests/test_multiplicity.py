@@ -19,6 +19,7 @@ from gapsub import (
     parikh_k,
     path_equivalent,
 )
+from gapsub.matchers import GapStep
 from helpers import brute_embeddings, brute_parikh, random_constraint
 
 AB = Alphabet.from_glyphs("ab")
@@ -55,6 +56,24 @@ def test_count_edge_cases():
     assert count_embeddings(w("ab"), GappedSequence(Word(()), ())) == 1
     gs = GappedSequence(w("aa"), (LengthGap(5, 9),))
     assert count_embeddings(w("aaa"), gs) == 0
+
+
+def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
+    # the word against itself, k = 3, sigma = 2: two independent path-count
+    # vectors below the last layer at depth 1 and three at depth 2, in each
+    # of the two automata, take one gap spread apiece; a spread per symbol
+    # would make 20
+    calls = []
+    reach_counts = GapStep.reach_counts
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return reach_counts(self, vec)
+
+    monkeypatch.setattr(GapStep, "reach_counts", counted)
+    word = w("abbaba")
+    assert equivalence_with_multiplicities(word, word, (LengthGap(0, 2),) * 2) == (True, None)
+    assert len(calls) == 10
 
 
 @settings(max_examples=250, deadline=None)
