@@ -468,7 +468,9 @@ def bench_instance(
 
     algo names the constraint class of the gaps: length, regular or
     reglen.  reglen gaps have the real window [4, 64], so they time the
-    windowed DFA sweep rather than the vacuous-window one.  Pattern and
+    windowed DFA step rather than the vacuous-window sweep: the
+    bit-parallel engine up to 246 DFA states, where (64+1) * states * 2
+    stays within matchers' cost rule, and the trace sweep beyond.  Pattern and
     constraints depend only on (seed, k, states): sizes in a sweep share
     one instance shape and differ just in the word, keeping timing ratios
     free of shape-to-shape variance.
@@ -506,8 +508,11 @@ def bench_match(
     ratios between sizes.  The column is named mean_ns for format
     stability; the value recorded is the median over the trials.
     """
-    if trials < 1:
-        raise InputError(f"--trials must be at least 1, not {trials}")
+    for flag, value in [("--trials", trials), ("--k", k), ("--states", states)] + [
+        ("--sizes value", n) for n in sizes
+    ]:
+        if value < 1:
+            raise InputError(f"{flag} must be at least 1, not {value}")
     instances = [bench_instance(n, k, states, algo, seed) for n in sizes]
     for w, gs in instances:
         if match(w, gs) is None:

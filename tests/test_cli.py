@@ -505,6 +505,23 @@ def test_cli_bench_refuses_fewer_than_one_trial(trials, capsys):
         bench_match("length", [100], trials=0)
 
 
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        (["--sizes", "0"], "--sizes value must be at least 1, not 0"),
+        (["--sizes", "200,-5"], "--sizes value must be at least 1, not -5"),
+        (["--sizes", "200", "--states", "0"], "--states must be at least 1, not 0"),
+        (["--sizes", "200", "--k", "0"], "--k must be at least 1, not 0"),
+    ],
+)
+def test_cli_bench_refuses_sizes_states_and_k_below_one(flags, refusal, capsys):
+    code = run_cli(["bench", "--algo", "regular", "--trials", "1"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert refusal in captured.err
+    assert captured.out == ""
+
+
 def test_cli_usage_error_exit_2(capsys):
     assert run_cli(["match", "-w", "ab"]) == 2
     capsys.readouterr()

@@ -1,5 +1,7 @@
+import contextlib
 import inspect
 import itertools
+import math
 import random
 import sys
 
@@ -123,6 +125,25 @@ def test_match_dispatcher_picks_an_algorithm():
         assert match(word, gs).positions == match_naive(word, gs).positions
 
 
+# values of the windowed-gap crossover that force the trace sweep (0) and
+# the bit-parallel step (inf) on every DFA gap with a real window
+ENGINES = (0, math.inf)
+
+
+@contextlib.contextmanager
+def windowed_engine(max_cost):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchers, "_BIT_PARALLEL_MAX_COST", max_cost)
+        yield
+
+
+def forced_step(syms, c, max_cost) -> GapStep:
+    with windowed_engine(max_cost):
+        step = GapStep(syms, c)
+    assert step.bit_parallel == (step.windowed and max_cost > 0)
+    return step
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_matchers_agree_with_bruteforce(data):
@@ -131,12 +152,14 @@ def test_matchers_agree_with_bruteforce(data):
     word, gs = random_instance(rng, kind, max_n=10, max_k=4, max_sigma=3)
     want = bool(brute_embeddings(word, gs))
     a = match_naive(word, gs)
-    b = match(word, gs)
     assert (a is not None) == want
-    assert (b is not None) == want
-    if b is not None:
-        assert verify_embedding(word, gs, b)
-        assert b.positions == a.positions
+    for max_cost in ENGINES:
+        with windowed_engine(max_cost):
+            b = match(word, gs)
+        assert (b is not None) == want
+        if b is not None:
+            assert verify_embedding(word, gs, b)
+            assert b.positions == a.positions
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,20 +173,46 @@ def test_dfa_gap_step_matches_quadratic_reference(data):
     lo = rng.randint(0, n + 1)
     hi = INF if rng.random() < 0.2 else lo + rng.randint(0, n)
     dfa = random_dfa(rng, rng.randint(1, 4), sigma)
-    step = GapStep(syms, RegLenGap(lo, hi, dfa))
-    # the drawn starts, every single start (the windowed sweep stops after
-    # the last start's window) and both ends (its traces reset in between)
-    for case in [starts, [0, n]] + [[j] for j in range(n + 1)]:
-        mask = sum(1 << j for j in case)
-        got = step.reach(mask)
-        for i in range(1, n + 1):
-            feasible = [
-                j for j in case if j < i and lo <= i - 1 - j <= hi and dfa.run(syms[j : i - 1])
-            ]
-            assert bool(got >> i & 1) == bool(feasible), (i, feasible)
-            if feasible and feasible[0] >= 1:
-                assert step.pred(mask, i) == feasible[0]
-        assert got >> (n + 1) == 0 and got & 1 == 0
+    for max_cost in ENGINES:
+        step = forced_step(syms, RegLenGap(lo, hi, dfa), max_cost)
+        # the drawn starts, every single start (the windowed sweep stops after
+        # the last start's window) and both ends (its traces reset in between)
+        for case in [starts, [0, n]] + [[j] for j in range(n + 1)]:
+            mask = sum(1 << j for j in case)
+            got = step.reach(mask)
+            for i in range(1, n + 1):
+                feasible = [
+                    j for j in case if j < i and lo <= i - 1 - j <= hi and dfa.run(syms[j : i - 1])
+                ]
+                assert bool(got >> i & 1) == bool(feasible), (max_cost, i, feasible)
+                if feasible and feasible[0] >= 1:
+                    assert step.pred(mask, i) == feasible[0]
+            assert got >> (n + 1) == 0 and got & 1 == 0
+
+
+def test_windowed_engines_agree_on_long_words():
+    # both sides of the crossover on words of a few hundred symbols: windows
+    # shorter and longer than the span of the starts, an unbounded hi, a DFA
+    # whose dead state empties every mask early, and single starts
+    rng = random.Random("windowed-engines")
+    # "no symbol 2 in the gap": state 1 is dead
+    no_two = Dfa(2, 0, frozenset({0}), ((0, 1, 0), (1, 1, 1)))
+    for _ in range(60):
+        n = rng.randint(200, 400)
+        sigma = rng.randint(2, 3)
+        syms = tuple(rng.choices(range(1, sigma + 1), [8] + [1] * (sigma - 1), k=n))
+        dfa = no_two if rng.random() < 0.3 else random_dfa(rng, rng.randint(1, 5), sigma)
+        lo = rng.randint(1, 20)
+        hi = rng.choice([INF, lo + rng.randint(0, 30), lo + rng.randint(n // 2, 2 * n)])
+        c = RegLenGap(lo, hi, dfa)
+        sweep, bits = (forced_step(syms, c, max_cost) for max_cost in ENGINES)
+        assert bits.bit_parallel and not sweep.bit_parallel
+        starts = sorted(rng.sample(range(n + 1), rng.randint(1, 40)))
+        dense = sum(1 << j for j in range(n + 1) if rng.random() < 0.3)
+        masks = [sum(1 << j for j in starts), dense, 1 << 0, 1 << n]
+        masks += [1 << rng.randint(0, n) for _ in range(5)]
+        for mask in masks:
+            assert bits.reach(mask) == sweep.reach(mask), (n, lo, hi, mask)
 
 
 @settings(max_examples=300, deadline=None)
