@@ -69,7 +69,7 @@ class _WordFrontier:
     def __init__(self, syms: tuple[int, ...], gc: NormalizedConstraints, sigma: int):
         masks = position_masks(syms, range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
-        self.steps = [GapStep(syms, c) for c in gc.constraints]
+        self.steps = [GapStep(syms, c, masks) for c in gc.constraints]
         self.dead = gc.infeasible
         self.spreads = 0
 

@@ -15,7 +15,10 @@ the constraint alone:
 
 - zero or length window   shift plus a doubling or-spread
 - DFA, vacuous window     one sweep over sets of DFA states, with subset
-                          images memoised per symbol, O(n) per gap
+                          images memoised per symbol, O(n) per gap; it
+                          stops once the set is every reachable state and
+                          every symbol permutes those (a group DFA such as
+                          parity), since the set can then no longer change
 - DFA, real window, and   bit-parallel over every start at once: one
   (hi+1) * states *       mask of starts per DFA state, and hi steps of
   symbols at most         AND, OR and shift over the span of the starts
@@ -313,11 +316,22 @@ class GapStep:
     at construction by one cost rule: the bit-parallel step (_bit_sweep)
     when (hi+1) * states * symbols is at most _BIT_PARALLEL_MAX_COST, else
     the trace sweep (_window_sweep).  The bit-parallel step's transition
-    masks are built on its first call.  pred and reach_counts do not
+    masks are built on its first call, from posmask: the word's position
+    masks by symbol, which it completes in place, so steps that share one
+    dict build each symbol's mask once.  pred and reach_counts do not
     depend on the engine.
+
+    A DFA gap with a vacuous window reaches through one sweep over sets of
+    DFA states (_sweep).  Its set always lies inside R, the states
+    reachable from the initial one, and the only set that no later symbol
+    or start can change is R itself, when every symbol maps R onto R (the
+    DFA permutes R, as a parity or modular-counting DFA does).  On its
+    first call the sweep settles which holds; when it does, the sweep
+    stops at the first column whose set is R and fills the rest of the
+    word from R alone.
     """
 
-    def __init__(self, syms: tuple[int, ...], c) -> None:
+    def __init__(self, syms: tuple[int, ...], c, posmask: Optional[dict[int, int]] = None) -> None:
         self.syms = syms
         self.n = n = len(syms)
         self.full = (1 << (n + 1)) - 2
@@ -329,7 +343,9 @@ class GapStep:
         self.bit_parallel = self.windowed and (
             (self.hi + 1) * dfa.num_states * dfa.num_symbols <= _BIT_PARALLEL_MAX_COST
         )
+        self.posmask = {} if posmask is None else posmask
         self.into: Optional[list[tuple[int, tuple[tuple[int, int], ...]]]] = None
+        self.settled: Optional[int] = None  # R, or -1 when R is not a fixpoint
         self.q0 = 1 << dfa.initial
         self.fin = sum(1 << q for q in dfa.finals)
         # moves[a][q]: the state reached from q on symbol a
@@ -370,9 +386,31 @@ class GapStep:
             return self._window_sweep(mask)
         return self._sweep(mask)
 
+    def _settle(self) -> None:
+        """settled := R, the states reachable from the initial one, if every
+        symbol maps R onto R, else -1, which no state set equals.  A fixpoint
+        R leaves the image memo and never enters it again, so _sweep looks
+        for R only on a memo miss and a column that hits pays nothing."""
+        symbols = range(1, len(self.moves))
+        reached = 0
+        grown = self.q0
+        while grown != reached:
+            reached = grown
+            for a in symbols:
+                grown |= self._image(a, reached)
+        if all(self._image(a, reached) == reached for a in symbols):
+            self.settled = reached
+            for a in symbols:
+                del self.img[a][reached]
+        else:
+            self.settled = -1
+
     def _sweep(self, mask: int) -> int:
-        """Vacuous window: carry the set of DFA states over all open gaps."""
-        n, q0, fin = self.n, self.q0, self.fin
+        """Vacuous window: carry the set of DFA states over all open gaps,
+        up to the first column whose set is the fixpoint self.settled."""
+        if self.settled is None:
+            self._settle()
+        n, q0, fin, settled = self.n, self.q0, self.fin, self.settled
         first = _lowest_bit(mask)
         flags = _flags(mask, n + 1)
         img = self.img
@@ -384,6 +422,10 @@ class GapStep:
                 out[i] = 1
             nxt = img[a].get(states)
             if nxt is None:
+                if states == settled:  # no later column can change it
+                    if states & fin:
+                        out[i:] = b"\x01" * (n + 1 - i)
+                    break
                 nxt = self._image(a, states)
             states = nxt | q0 if f else nxt
         return _from_flags(out)
@@ -398,7 +440,10 @@ class GapStep:
             live = grown
             for a in symbols:
                 grown |= self._preimage(a, live)
-        pos = position_masks(self.syms, symbols)
+        pos = self.posmask
+        missing = [a for a in symbols if a not in pos]
+        if missing:
+            pos.update(position_masks(self.syms, missing))
         into: dict[int, dict[int, int]] = {q2: {} for q2 in _iter_bits(live)}
         for a in symbols:
             for q, q2 in enumerate(self.moves[a]):
@@ -596,7 +641,7 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     for t, c in enumerate(joints):
         if not D[t]:
             return None
-        step = GapStep(syms, c)
+        step = GapStep(syms, c, posmask)
         steps.append(step)
         D.append((step.reach(D[t]) << (len(blocks[t + 1]) - 1)) & ends[t + 1])
     if not D[-1]:

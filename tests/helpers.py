@@ -123,6 +123,15 @@ def random_dfa(rng: random.Random, states: int, sigma: int) -> Dfa:
     return Dfa(states, rng.randrange(states), finals, table)
 
 
+def permutation_dfa(rng: random.Random, states: int, sigma: int) -> Dfa:
+    """Random DFA in which every symbol permutes the states, like "the gap
+    holds an even number of 1s"."""
+    perms = [rng.sample(range(states), states) for _ in range(sigma)]
+    table = tuple(tuple(perm[q] for perm in perms) for q in range(states))
+    finals = frozenset(q for q in range(states) if rng.random() < 0.5)
+    return Dfa(states, rng.randrange(states), finals, table)
+
+
 def random_constraint(
     rng: random.Random, kind: str, sigma: int
 ) -> GapConstraint:

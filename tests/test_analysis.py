@@ -8,9 +8,11 @@ from gapsub import (
     INF,
     Alphabet,
     BudgetError,
+    Dfa,
     GappedSequence,
     InputError,
     LengthGap,
+    RegularGap,
     UsageError,
     Word,
     ZeroGap,
@@ -22,6 +24,7 @@ from gapsub import (
     universality,
 )
 from gapsub import analysis
+from gapsub.matchers import GapStep
 from gapsub.cli import run_cli
 from helpers import (
     brute_lang_k,
@@ -233,6 +236,33 @@ def test_memoised_search_matches_plain_dfs(monkeypatch):
     # the memo never adds spreads, and it did skip some subtrees
     assert all(m <= p for m, p in zip(spreads_memo, spreads_plain))
     assert sum(spreads_memo) < sum(spreads_plain)
+
+
+def test_parity_gaps_agree_with_reference(monkeypatch):
+    # "an even (odd) number of 1s" permutes both its states, so a frontier
+    # spread stops once its state set is {0, 1}
+    even = RegularGap(Dfa(2, 0, frozenset({0}), ((1, 0), (0, 1))))
+    odd = RegularGap(Dfa(2, 0, frozenset({1}), ((1, 0), (0, 1))))
+    armed = []
+    sweep = GapStep._sweep
+
+    def recording_sweep(self, mask):
+        out = sweep(self, mask)
+        armed.append(self.settled == 0b11)
+        return out
+
+    monkeypatch.setattr(GapStep, "_sweep", recording_sweep)
+    rng = random.Random("parity-analysis")
+    ab = Alphabet(2)
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        gc = tuple(rng.choice([even, odd]) for _ in range(k - 1))
+        wa, wb = (Word(tuple(rng.randint(1, 2) for _ in range(rng.randint(8, 12)))) for _ in "ab")
+        uni = universality(wa, gc, ab)
+        assert _report_triple(uni)[:2] == reference_universality(wa, gc, 2)[:2]
+        con = containment(wa, wb, gc, ab)
+        assert _report_triple(con)[:2] == reference_containment(wa, wb, gc, 2)[:2]
+    assert armed and all(armed)
 
 
 def test_unary_universality_needs_no_recursion():

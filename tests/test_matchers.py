@@ -36,6 +36,7 @@ from gapsub.reductions import CnfFormula, random_cnf, sat_to_match_equalities
 from helpers import (
     brute_embeddings,
     gap_ok,
+    permutation_dfa,
     random_constraint,
     random_dfa,
     random_instance,
@@ -213,6 +214,75 @@ def test_windowed_engines_agree_on_long_words():
         masks += [1 << rng.randint(0, n) for _ in range(5)]
         for mask in masks:
             assert bits.reach(mask) == sweep.reach(mask), (n, lo, hi, mask)
+
+
+def _permuted_reachable(dfa: Dfa) -> int:
+    """R, the states reachable from the initial one, as a bit set, if every
+    symbol maps R onto R, else -1."""
+    reached, todo = {dfa.initial}, [dfa.initial]
+    while todo:
+        for q2 in dfa.table[todo.pop()]:
+            if q2 not in reached:
+                reached.add(q2)
+                todo.append(q2)
+    onto = all({dfa.table[q][a] for q in reached} == reached for a in range(dfa.num_symbols))
+    return sum(1 << q for q in reached) if onto else -1
+
+
+def test_vacuous_sweep_fixpoint_exit_matches_quadratic_reference():
+    # the vacuous-window sweep stops at the first column whose state set is
+    # R when every symbol maps R onto R: permutation DFAs arm that exit,
+    # random tables arm it only when they happen to permute R, and a DFA
+    # with a sink never does
+    rng = random.Random("fixpoint-exit")
+    no_two = Dfa(2, 0, frozenset({0}), ((0, 1, 0), (1, 1, 1)))  # state 1 is a sink
+    fired = {True: 0, False: 0}
+    for trial in range(60):
+        n = rng.randint(200, 400)
+        sigma = rng.randint(2, 3)
+        syms = tuple(rng.randint(1, sigma) for _ in range(n))
+        kind = ("permutation", "random", "sink")[trial % 3]
+        if kind == "permutation":
+            dfa = permutation_dfa(rng, rng.randint(1, 6), sigma)
+        elif kind == "random":
+            dfa = random_dfa(rng, rng.randint(2, 6), sigma)
+        else:
+            dfa = no_two
+        settled = _permuted_reachable(dfa)
+        if kind != "random":
+            assert (settled != -1) == (kind == "permutation")
+        step = GapStep(syms, RegularGap(dfa))
+        dense = sum(1 << j for j in range(n + 1) if rng.random() < 0.5)
+        spread = sum(1 << j for j in range(0, n + 1, rng.randint(10, 60)))
+        for mask in [dense, spread, 1 << rng.randint(1, n), 1 << 0]:
+            starts = [j for j in range(n + 1) if mask >> j & 1]
+            # streamed from every start: least[i] is the least feasible start
+            least = {}
+            for j in starts:
+                q = dfa.initial
+                for i in range(j + 1, n + 1):
+                    if q in dfa.finals:
+                        least.setdefault(i, j)
+                    q = dfa.table[q][syms[i - 1] - 1]
+            assert step.reach(mask) == sum(1 << i for i in least), (trial, kind)
+            for i in rng.sample(sorted(least), min(len(least), 15)):
+                if least[i] >= 1:
+                    assert step.pred(mask, i) == least[i]
+            # the state set over the open gaps, column by column, as _sweep sees it
+            states, hit = 1 << dfa.initial, False
+            for i in range(starts[0] + 1, n + 1):
+                hit = hit or states == settled
+                moved = {dfa.table[q][syms[i - 1] - 1] for q in range(dfa.num_states) if states >> q & 1}
+                if mask >> i & 1:
+                    moved.add(dfa.initial)
+                states = sum(1 << q for q in moved)
+            fired[hit] += 1
+        assert step.settled == settled, (trial, kind)
+        # the memo never holds the images of a fixpoint R, so a sweep that
+        # walked on past R would have put them back
+        assert all(settled not in memo for memo in step.img)
+    # both sides of the exit ran
+    assert fired[True] >= 20 and fired[False] >= 20, fired
 
 
 @settings(max_examples=300, deadline=None)
