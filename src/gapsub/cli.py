@@ -589,9 +589,10 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.mode in ("con", "equ") and args.word2 is None:
-        raise InputError(f"analyze {args.mode} needs -W")
-    values = [args.word] + ([args.word2] if args.mode in ("con", "equ") else [])
+    two = args.mode in ("con", "equ")
+    if two != (args.word2 is not None):
+        raise InputError(f"analyze {args.mode} {'needs' if two else 'takes no'} -W")
+    values = [args.word] + ([args.word2] if two else [])
     alphabet, words, mode, gc = _load(args, values)
     if args.mode == "uni":
         report = universality(words[0], gc, alphabet, budget=args.budget)

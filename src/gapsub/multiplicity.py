@@ -11,15 +11,16 @@ parikh_k searches its prefixes depth-first in lexicographic order, and
 path_equivalent spreads each vector once for all symbols.  Equivalence
 of two counting automata is decided exactly, without enumerating
 strings, by a basis computation over the reachable path-count vectors
-(Tzeng, SIAM J. Comput. 1992); arithmetic is integer and exact, so
-counts beyond machine range are handled verbatim.  The witness of a
-difference is the least length-k string, in lexicographic order, whose
-counts differ.
+(Tzeng, SIAM J. Comput. 1992), one layer of prefixes of one length at a
+time: each layer has its own basis of at most |w1| + |w2| + 2 rows, and
+the last layer, which has no successors, is compared without rows.
+Arithmetic is integer and exact, so counts beyond machine range are
+handled verbatim.  The witness of a difference is the least length-k
+string, in lexicographic order, whose counts differ.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -215,39 +216,36 @@ def path_equivalent(
 ) -> tuple[bool, Optional[Word]]:
     """Do the two automata assign every string the same accepting-path count?
 
-    Breadth-first over word prefixes, keeping the vector of path counts
-    per state of the disjoint union.  A vector already in the span of the
-    basis adds nothing (path counts are linear in the vector), so only
-    independent vectors, at most one per union state, spawn successors;
-    the difference of the accepted counts must vanish on each.  The error
-    states never accept, so their counts are left out.  Returns the
-    decision and, when counts differ, the first string in length-then-
-    lexicographic order whose counts differ.
+    Breadth-first over word prefixes, one layer per length, keeping the
+    vector of path counts per state of the disjoint union (coordinate i of
+    n1, len(n1.word) + 1 + i of n2); the difference of the accepted counts
+    must vanish on every vector.  A vector in the span of its layer's basis
+    adds nothing (path counts are linear in the vector), so only independent
+    vectors spawn successors: each layer has a basis of at most
+    len(n1.word) + len(n2.word) + 2 rows, and the last, at depth
+    max(n1.k, n2.k), is compared without rows.  Error states never accept
+    and are left out.  Returns the decision and, when counts differ, the
+    first string in length-then-lexicographic order whose counts differ.
     """
-    sigma = max(n1.num_symbols, n2.num_symbols)
-    offset2 = (n1.k + 1) * (len(n1.word) + 1)
-
-    def flat(v1, v2) -> dict[int, int]:
-        # coordinate of state (i, j) in the union: j * (n + 1) + i, then offset2
-        out: dict[int, int] = {}
-        for vec, base in ((v1, 0), (v2, offset2)):
-            if vec is not None:
-                j, counts = vec
-                base += j * len(counts)
-                out.update({base + i: c for i, c in enumerate(counts) if c})
-        return out
-
-    basis: dict[int, dict[int, int]] = {}
-    queue: deque[tuple[tuple[int, ...], tuple]] = deque([((), (n1.start(), n2.start()))])
-    while queue:
-        word, (v1, v2) = queue.popleft()
-        if not _insert_basis(flat(v1, v2), basis):
-            continue
-        if n1.accepted(v1) != n2.accepted(v2):
-            return (False, Word(word))
-        s1, s2 = n1.step_all(v1), n2.step_all(v2)
-        for a in range(1, sigma + 1):
-            queue.append((word + (a,), (s1.get(a), s2.get(a))))
+    offset2 = len(n1.word) + 1
+    last = max(n1.k, n2.k)
+    layer = [((), n1.start(), n2.start())]
+    for depth in range(last + 1):
+        basis: dict[int, dict[int, int]] = {}
+        below = []
+        for word, v1, v2 in layer:
+            if n1.accepted(v1) != n2.accepted(v2):
+                return (False, Word(word))
+            if depth == last:
+                continue
+            flat = dict(enumerate(v1[1])) if v1 else {}
+            if v2:
+                flat.update(enumerate(v2[1], offset2))
+            if _insert_basis(flat, basis):
+                s1, s2 = n1.step_all(v1), n2.step_all(v2)
+                for a in sorted(s1.keys() | s2.keys()):
+                    below.append((word + (a,), s1.get(a), s2.get(a)))
+        layer = below
     return (True, None)
 
 

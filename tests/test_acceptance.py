@@ -5,9 +5,10 @@ examples, the README's library example and its CLI transcript come out
 exactly, every matcher agrees with the reference matcher on large random and
 exhaustive input grids, the hardness reduction chains agree with brute-force
 solvers of the source problems, multiplicity comparison is exact beyond
-machine-word sizes, the tuned matcher scales near-linearly in both word
-length and automaton size, classical containment agrees with plain
-enumeration, and oversized analyses fail loudly instead of truncating.
+machine-word sizes and its basis work is bounded per layer, the tuned matcher
+scales near-linearly in both word length and automaton size, classical
+containment agrees with plain enumeration, and oversized analyses fail loudly
+instead of truncating.
 
 Every test prints a one-line summary and enforces its own wall-clock budget.
 """
@@ -72,6 +73,7 @@ from gapsub import (
     universality,
     verify_embedding,
 )
+from gapsub import multiplicity
 from gapsub.cli import bench_match, run_cli
 from gapsub.matchers import match_naive
 
@@ -387,6 +389,36 @@ def test_multiplicity_equivalence_and_bigint_exactness():
     dt = time.perf_counter() - t0
     assert dt < 120.0
     print(f"pass: multiplicity comparison exact (incl. >2^64 counts) in {dt:.1f}s")
+
+
+def test_multiplicity_basis_work_is_bounded_per_layer(monkeypatch):
+    # a word against itself is the worst case: no difference stops the
+    # search early.  Each layer below the last inserts at most sigma
+    # children of each of the at most 2n + 2 independent vectors of the
+    # layer above, and the last layer inserts nothing
+    t0 = time.perf_counter()
+    sigma, k = 4, 5
+    calls = []
+    insert = multiplicity._insert_basis
+
+    def counted(vec, basis):
+        calls.append(len(vec))
+        return insert(vec, basis)
+
+    monkeypatch.setattr(multiplicity, "_insert_basis", counted)
+    rng = random.Random("multscale")
+    rows = []
+    for n in (80, 160, 320):
+        word = Word(tuple(rng.randint(1, sigma) for _ in range(n)))
+        calls.clear()
+        t = time.perf_counter()
+        got = equivalence_with_multiplicities(word, word, (LengthGap(0, 3),) * (k - 1))
+        rows.append(f"n={n}: {len(calls)} inserts in {time.perf_counter() - t:.2f}s")
+        assert got == (True, None)
+        assert len(calls) <= 1 + sigma * (k - 1) * (2 * n + 2), (n, len(calls))
+    dt = time.perf_counter() - t0
+    assert dt < 120.0
+    print(f"pass: multiplicity equivalence, sigma={sigma}, k={k}: " + "; ".join(rows))
 
 
 def test_reglen_runtime_scales_near_linearly():

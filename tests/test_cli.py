@@ -261,6 +261,18 @@ def test_cli_analyze_equ_and_con(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_analyze_uni_refuses_a_second_word(tmp_path, capsys):
+    # universality reads one word; a -W would otherwise be silently dropped
+    c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
+    code = run_cli(["analyze", "uni", "-w", "abba", "-W", "abab", "-c", c])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: analyze uni takes no -W" in captured.err
+    code = run_cli(["analyze", "con", "-w", "abab", "-c", c])
+    captured = capsys.readouterr()
+    assert code == 2 and "error: analyze con needs -W" in captured.err
+
+
 def test_cli_analyze_budget_exit(tmp_path, capsys):
     c = _write_constraints(tmp_path, "c", "k 20\n" + "L 0 inf\n" * 19)
     code = run_cli(["analyze", "uni", "-w", "abc", "-c", c])

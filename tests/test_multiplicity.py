@@ -19,6 +19,7 @@ from gapsub import (
     parikh_k,
     path_equivalent,
 )
+from gapsub import multiplicity
 from gapsub.matchers import GapStep
 from helpers import brute_embeddings, brute_parikh, random_constraint
 
@@ -74,6 +75,27 @@ def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
     word = w("abbaba")
     assert equivalence_with_multiplicities(word, word, (LengthGap(0, 2),) * 2) == (True, None)
     assert len(calls) == 10
+
+
+def test_basis_holds_one_layer_and_never_the_last(monkeypatch):
+    # each layer of the search has its own basis, so it never holds more
+    # rows than a layer has coordinates, len(w1) + len(w2) + 2; the last
+    # layer has no successors and is compared without an insert
+    rows = []
+    insert = multiplicity._insert_basis
+
+    def recorded(vec, basis):
+        independent = insert(vec, basis)
+        rows.append(len(basis))
+        return independent
+
+    monkeypatch.setattr(multiplicity, "_insert_basis", recorded)
+    word = Word((1, 1, 2, 2, 1))
+    assert equivalence_with_multiplicities(word, word, FREE * 4) == (True, None)
+    assert 0 < max(rows) <= 2 * len(word) + 2
+    rows.clear()
+    assert equivalence_with_multiplicities(word, word, ()) == (True, None)
+    assert rows == [1]  # the start vector is the only insert
 
 
 @settings(max_examples=250, deadline=None)
@@ -199,6 +221,29 @@ def test_equivalence_with_multiplicities_oracle(data):
     assert ok == (not differ)
     # the witness is canonical: the least length-k string whose counts differ
     assert (wit is None) if ok else (wit.symbols == differ[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_path_equivalent_with_different_pattern_lengths(data):
+    # two words under constraint tuples of different lengths: each automaton
+    # accepts strings of its own length only, and counts 0 on the other's
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    sigma = rng.randint(1, 3)
+    kind = rng.choice(["length", "regular", "reglen"])
+    diff: dict[tuple[int, ...], int] = {}
+    nfas = []
+    for sign, k in zip((1, -1), rng.sample(range(1, 5), 2)):
+        word = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 8))))
+        gc = tuple(random_constraint(rng, kind, sigma) for _ in range(k - 1))
+        nfas.append(build_counting_nfa(word, gc))
+        for p, c in brute_parikh(word, gc, sigma, k).items():
+            diff[p] = diff.get(p, 0) + sign * c
+    differ = sorted((len(p), p) for p, c in diff.items() if c)
+    ok, wit = path_equivalent(*nfas)
+    assert ok == (not differ)
+    # the witness is the first differing string, shorter strings first
+    assert (wit is None) if ok else (wit.symbols == differ[0][1])
 
 
 def test_exactness_beyond_64_bits():
