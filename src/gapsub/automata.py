@@ -1,75 +1,28 @@
 """Finite automata: complete DFAs, subsequence automata, products.
 
-DFA states are 0..num_states-1 and symbols are ids 1..num_symbols; the
-transition table is dense, one row per state with one entry per symbol,
-so every DFA here is complete by construction.
+Dfa lives in core, next to the constraints that hold one.  It checks its
+structure when it is built; normalize_constraints checks that it covers
+the alphabet of a call, and the CLI's loader checks it against the session
+alphabet.  This module builds and combines DFAs: states 0..num_states-1,
+symbols 1..num_symbols, one dense table row per state, so every DFA here
+is complete by construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import Alphabet, InputError, UsageError, Word
-
-
-@dataclass(frozen=True)
-class Dfa:
-    """Complete deterministic finite automaton over symbols 1..num_symbols."""
-
-    num_states: int
-    initial: int
-    finals: frozenset[int]
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-
-    @property
-    def num_symbols(self) -> int:
-        return len(self.table[0]) if self.table else 0
-
-    def step(self, q: int, a: int) -> int:
-        return self.table[q][a - 1]
-
-    def run(self, symbols: Iterable[int]) -> bool:
-        """Accept or reject the given symbol sequence."""
-        q = self.initial
-        for a in symbols:
-            q = self.table[q][a - 1]
-        return q in self.finals
-
-    def with_extra_symbol(self) -> "Dfa":
-        """Widen the alphabet by one symbol that always leads to a dead sink."""
-        sink = self.num_states
-        rows = [row + (sink,) for row in self.table]
-        rows.append(tuple([sink] * (self.num_symbols + 1)))
-        return Dfa(self.num_states + 1, self.initial, self.finals, tuple(rows))
+from .core import Alphabet, Dfa, InputError, UsageError, Word
 
 
 def dfa_validate(d: Dfa, alphabet: Alphabet) -> Optional[str]:
-    """None when d is a complete DFA over the alphabet, else the first problem."""
-    n = d.num_states
-    if n < 1:
-        return "automaton needs at least one state"
-    if not 0 <= d.initial < n:
-        return f"initial state {d.initial} out of range"
-    for q in sorted(d.finals):
-        if not 0 <= q < n:
-            return f"final state {q} out of range"
-    if len(d.table) != n:
-        return f"transition table has {len(d.table)} rows, expected {n}"
-    for q, row in enumerate(d.table):
-        if len(row) != alphabet.size:
-            return (
-                f"state {q} has {len(row)} transitions, expected {alphabet.size} "
-                f"(first missing symbol {len(row) + 1})"
-            )
-        for a, target in enumerate(row, start=1):
-            if not 0 <= target < n:
-                return f"transition ({q}, {a}) targets out-of-range state {target}"
+    """None when d reads exactly the alphabet's symbols, else the problem.
+
+    The rest of its structure was checked when d was built.
+    """
+    if d.num_symbols != alphabet.size:
+        return f"the DFA reads {d.num_symbols} symbols, the alphabet has {alphabet.size}"
     return None
 
 

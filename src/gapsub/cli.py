@@ -43,11 +43,11 @@ from .analysis import (
     equivalence,
     universality,
 )
-from .automata import Dfa, dfa_validate
 from .core import (
     DEFAULT_BUDGET,
     INF,
     Alphabet,
+    Dfa,
     GapConstraint,
     GappedSequence,
     GapsubError,
@@ -81,12 +81,7 @@ from .reductions import (
 
 
 def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
 
 
 def _read_text(path: str, what: str) -> str:
@@ -253,23 +248,15 @@ def parse_dfa_text(text: str) -> Dfa:
             raise InputError(f"unknown dfa directive {key!r}")
     if num_states is None or initial is None or sigma is None:
         raise InputError("dfa file needs states, initial, and alphabet lines")
-    table = []
-    for q in range(num_states):
-        row = []
-        for a in range(1, sigma + 1):
-            if (q, a) not in trans:
-                raise InputError(f"missing transition for state {q} symbol {a}")
-            row.append(trans[(q, a)])
-        table.append(tuple(row))
-    extra = set(trans) - {(q, a) for q in range(num_states) for a in range(1, sigma + 1)}
+    cells = ((q, a) for q in range(num_states) for a in range(1, sigma + 1))
+    missing = next((c for c in cells if c not in trans), None)
+    if missing is not None:
+        raise InputError("missing transition for state %d symbol %d" % missing)
+    extra = sorted(c for c in trans if not (0 <= c[0] < num_states and 1 <= c[1] <= sigma))
     if extra:
-        q, a = sorted(extra)[0]
-        raise InputError(f"transition for state {q} symbol {a} out of declared range")
-    d = Dfa(num_states, initial, frozenset(finals), tuple(table))
-    problem = dfa_validate(d, Alphabet(sigma))
-    if problem is not None:
-        raise InputError(f"invalid dfa: {problem}")
-    return d
+        raise InputError("transition for state %d symbol %d out of declared range" % extra[0])
+    table = [[trans[q, a] for a in range(1, sigma + 1)] for q in range(num_states)]
+    return Dfa(num_states, initial, finals, table)
 
 
 def serialize_dfa_text(d: Dfa) -> str:
@@ -339,10 +326,6 @@ def serialize_constraints_text(k: int, gc: Sequence[GapConstraint]) -> str:
         else:
             raise InputError("only zero and length constraints can be serialized here")
     return "\n".join(lines) + "\n"
-
-
-def read_constraints_file(path: str) -> tuple[int, tuple[GapConstraint, ...]]:
-    return parse_constraints_text(_read_text(path, "constraint"), os.path.dirname(path) or ".")
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +534,18 @@ def bench_match(
 
 
 def _load(args, values: Sequence[str]) -> tuple[Alphabet, list[Word], str, tuple[GapConstraint, ...]]:
-    """Session words, then constraints: k must fit a pattern, each DFA the session alphabet."""
+    """Session words, then constraints: k must fit the pattern (or be at least 1
+    without one, since the analyses read k as len(gc) + 1), each DFA the
+    session alphabet."""
     inputs = [load_word_value(v) for v in values]
     alphabet, words, mode = resolve_words(inputs, args.glyphs, args.sigma)
-    k, gc = read_constraints_file(args.constraints)
-    if "pattern" in args and k != len(words[1]):
-        raise InputError(f"constraint file is for k {k}, pattern has length {len(words[1])}")
+    path = args.constraints
+    k, gc = parse_constraints_text(_read_text(path, "constraint"), os.path.dirname(path) or ".")
+    if "pattern" in args:
+        if k != len(words[1]):
+            raise InputError(f"constraint file is for k {k}, pattern has length {len(words[1])}")
+    elif k < 1:
+        raise InputError(f"constraint file is for k {k}, this command needs k >= 1")
     check_dfa_alphabet(gc, alphabet.size)
     return alphabet, words, mode, gc
 

@@ -10,11 +10,17 @@ conjunction of a window with a DFA.
 
 Symbols are dense integer ids 1..sigma.  An Alphabet optionally carries a
 glyph table so words can be read and printed as character strings.
+
+A DFA is checked in three places, each once: a Dfa checks its structure
+when it is built (states, rows, targets), normalize_constraints checks that
+it covers the alphabet of the call, and the CLI's loader checks it against
+the session alphabet.  The gap engines index its table without checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 INF = float("inf")
@@ -147,26 +153,81 @@ class LengthGap:
         _check_window(self.lo, self.hi)
 
 
-# what matching, counting and analysis read off a constraint's DFA
-_DFA_ATTRIBUTES = ("num_states", "num_symbols", "initial", "finals", "table", "run")
+def _bad_state(states: tuple, n: int) -> Optional[int]:
+    """Index of the first entry that is not an int in 0..n-1, or None.  C-level
+    passes decide (automata of |w|+2 states are built per call); the loop
+    only names the offender."""
+    if not states or set(map(type, states)) <= {int} and min(states) >= 0 and max(states) < n:
+        return None
+    return next(i for i, s in enumerate(states) if type(s) is not int or not 0 <= s < n)
 
 
-def _check_dfa(dfa: object, kind: str) -> None:
-    missing = [a for a in _DFA_ATTRIBUTES if not hasattr(dfa, a)]
-    if missing:
-        raise InputError(
-            f"{kind} constraint needs a DFA; {type(dfa).__name__} lacks {', '.join(missing)}"
-        )
+@dataclass(frozen=True)
+class Dfa:
+    """Complete DFA over symbols 1..num_symbols: states 0..num_states-1, one
+    table row per state with one target per symbol.  Construction raises
+    InputError unless there is a state, the rows have one width, and the
+    initial state, finals and targets all lie in 0..num_states-1."""
+
+    num_states: int
+    initial: int
+    finals: frozenset[int]
+    table: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "finals", frozenset(self.finals))
+        table = tuple(map(tuple, self.table))
+        object.__setattr__(self, "table", table)
+        n = self.num_states
+        if type(n) is not int or n < 1:
+            raise InputError(f"automaton needs at least one state, got {n!r}")
+        ends = (self.initial, *self.finals)
+        bad = _bad_state(ends, n)
+        if bad is not None:
+            raise InputError(f"{'final' if bad else 'initial'} state {ends[bad]!r} out of range")
+        if len(table) != n:
+            raise InputError(f"transition table has {len(table)} rows, expected {n}")
+        width = len(table[0])
+        if len(set(map(len, table))) > 1:
+            q = next(q for q, row in enumerate(table) if len(row) != width)
+            raise InputError(f"state {q} has {len(table[q])} transitions, expected {width}")
+        targets = tuple(chain.from_iterable(table))
+        bad = _bad_state(targets, n)
+        if bad is not None:
+            q, a = divmod(bad, width)
+            raise InputError(f"transition ({q}, {a + 1}) targets out-of-range state {targets[bad]}")
+
+    @property
+    def num_symbols(self) -> int:
+        return len(self.table[0])
+
+    def step(self, q: int, a: int) -> int:
+        return self.table[q][a - 1]
+
+    def run(self, symbols: Iterable[int]) -> bool:
+        """Accept or reject the given symbol sequence."""
+        q = self.initial
+        for a in symbols:
+            q = self.table[q][a - 1]
+        return q in self.finals
+
+    def with_extra_symbol(self) -> "Dfa":
+        """Widen the alphabet by one symbol that always leads to a dead sink."""
+        sink = self.num_states
+        rows = [row + (sink,) for row in self.table]
+        rows.append(tuple([sink] * (self.num_symbols + 1)))
+        return Dfa(self.num_states + 1, self.initial, self.finals, tuple(rows))
 
 
 @dataclass(frozen=True)
 class RegularGap:
     """Gap must belong to the language of a complete DFA."""
 
-    dfa: object
+    dfa: Dfa
 
     def __post_init__(self) -> None:
-        _check_dfa(self.dfa, "regular")
+        if not isinstance(self.dfa, Dfa):
+            raise InputError(f"regular constraint needs a Dfa, got {type(self.dfa).__name__}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +236,12 @@ class RegLenGap:
 
     lo: int
     hi: Union[int, float]
-    dfa: object
+    dfa: Dfa
 
     def __post_init__(self) -> None:
         _check_window(self.lo, self.hi)
-        _check_dfa(self.dfa, "reg-len")
+        if not isinstance(self.dfa, Dfa):
+            raise InputError(f"reg-len constraint needs a Dfa, got {type(self.dfa).__name__}")
 
 
 GapConstraint = Union[ZeroGap, LengthGap, RegularGap, RegLenGap]
@@ -201,7 +263,7 @@ def constraint_window(c: GapConstraint, n: int) -> tuple[int, int]:
     return (0, n)
 
 
-def constraint_dfa(c: GapConstraint):
+def constraint_dfa(c: GapConstraint) -> Optional[Dfa]:
     """The DFA of c, or None for purely length-based constraints."""
     if isinstance(c, (RegularGap, RegLenGap)):
         return c.dfa
@@ -276,13 +338,8 @@ class GappedSequence:
         A purely length-based constraint counts 1 state (its implicit
         accept-everything automaton).
         """
-        total = 0
-        for c in self.constraints:
-            if is_zero_gap(c):
-                continue
-            dfa = constraint_dfa(c)
-            total += dfa.num_states if dfa is not None else 1
-        return total
+        dfas = [constraint_dfa(c) for c in self.constraints if not is_zero_gap(c)]
+        return sum(1 if dfa is None else dfa.num_states for dfa in dfas)
 
     @property
     def size(self) -> int:
@@ -405,7 +462,7 @@ def wrap_boundary(
         if s > sigma:
             raise InputError(f"pattern symbol {s} outside alphabet 1..{sigma}")
     dollar = sigma + 1
-    extended: dict[int, object] = {}
+    extended: dict[int, Dfa] = {}
     new_constraints: list[GapConstraint] = []
     for c in full_gc:
         dfa = constraint_dfa(c)

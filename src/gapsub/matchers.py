@@ -195,14 +195,9 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     n = len(syms)
     p = gs.pattern.symbols
     k = len(p)
-    bufs: dict[int, bytearray] = {}
-    nb = n // 8 + 2
-    for i, a in enumerate(syms, start=1):
-        b = bufs.get(a)
-        if b is None:
-            b = bufs[a] = bytearray(nb)
-        b[i >> 3] |= 1 << (i & 7)
-    posmask = {a: int.from_bytes(b, "little") for a, b in bufs.items()}
+    posmask = {
+        a: _mask_from_positions(n, [i for i, s in enumerate(syms, 1) if s == a]) for a in set(p)
+    }
     D = [0] * (k + 1)
     D[1] = posmask.get(p[0], 0)
     for t in range(1, k):
@@ -664,8 +659,8 @@ class EqualitySystem:
     def __post_init__(self) -> None:
         canon = set()
         for a, b in self.pairs:
-            if a < 1 or b < 1:
-                raise InputError("gap indices are 1-based positive integers")
+            if not (type(a) is int and type(b) is int and a >= 1 and b >= 1):
+                raise InputError(f"gap indices are 1-based positive integers, got ({a!r}, {b!r})")
             canon.add((min(a, b), max(a, b)))
         object.__setattr__(self, "pairs", frozenset(canon))
 

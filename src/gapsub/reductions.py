@@ -215,6 +215,8 @@ def random_cnf(
     With arity None, clause sizes vary between 1 and min(3, num_vars)."""
     if num_vars < 1:
         raise InputError("need at least one variable")
+    if num_clauses < 0:
+        raise InputError("clause count must be nonnegative")
     if arity is not None and arity > num_vars:
         raise InputError("clause arity cannot exceed the variable count")
     rng = random.Random(seed)
@@ -283,6 +285,8 @@ def solve_kis_bruteforce(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool
 
 
 def random_graph(num_vertices: int, num_edges: int, seed: int) -> Graph:
+    if num_edges < 0:
+        raise InputError("edge count must be nonnegative")
     rng = random.Random(seed)
     pairs = [
         (u, v)

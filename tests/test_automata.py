@@ -41,18 +41,10 @@ def test_dfa_validate_reports_problems():
     ab = Alphabet(2)
     good = sigma_star_dfa(2)
     assert dfa_validate(good, ab) is None
-    ragged = Dfa.__new__(Dfa)
-    object.__setattr__(ragged, "num_states", 1)
-    object.__setattr__(ragged, "initial", 0)
-    object.__setattr__(ragged, "finals", frozenset({0}))
-    object.__setattr__(ragged, "table", ((0,),))
-    assert "symbol" in dfa_validate(ragged, ab)
-    bad_target = Dfa.__new__(Dfa)
-    object.__setattr__(bad_target, "num_states", 1)
-    object.__setattr__(bad_target, "initial", 0)
-    object.__setattr__(bad_target, "finals", frozenset({0}))
-    object.__setattr__(bad_target, "table", ((0, 7),))
-    assert "state" in dfa_validate(bad_target, ab)
+    narrow = Dfa(1, 0, frozenset({0}), ((0,),))
+    assert "symbol" in dfa_validate(narrow, ab)
+    with pytest.raises(InputError, match="out-of-range state 7"):
+        Dfa(1, 0, frozenset({0}), ((0, 7),))
 
 
 def test_sigma_star_and_empty_word():

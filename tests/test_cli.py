@@ -622,3 +622,48 @@ def test_cli_empty_pattern_embeds_once(tmp_path, capsys):
     assert capsys.readouterr().out == "match: yes\n"
     assert run_cli(["count", "-w", "ab", "-p", "", "-c", c]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_cli_k0_refused_without_a_pattern(tmp_path, capsys):
+    # the analyses read k as len(gc) + 1, so a k 0 file would run as k 1
+    c = _write_constraints(tmp_path, "c", "k 0\n")
+    commands = [
+        ["equ-mult", "-w", "a", "-W", "b"],
+        ["analyze", "uni", "-w", "a", "--glyphs", "ab"],
+        ["analyze", "con", "-w", "a", "-W", "b"],
+        ["analyze", "equ", "-w", "a", "-W", "b"],
+    ]
+    for argv in commands:
+        assert run_cli(argv + ["-c", c]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs k >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["kis-nuni", "--vertices", "4", "--edges", "-1"], "edge count"),
+        (["sat-nuni", "--vars", "3", "--clauses", "-2"], "clause count"),
+        (["sat-eq", "--vars", "3", "--clauses", "-1"], "clause count"),
+    ],
+    ids=["edges", "clauses", "eq-clauses"],
+)
+def test_cli_gen_negative_sizes_exit_2(tmp_path, capsys, argv, what):
+    prefix = tmp_path / "g"
+    code = run_cli(["gen", *argv, "--out", str(prefix)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{what} must be nonnegative" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_dfa_file_with_bad_target_exit_2(tmp_path, capsys):
+    (tmp_path / "bad.dfa").write_text(
+        "states 2\ninitial 0\nfinal 0\nalphabet 2\n"
+        "trans 0 1 0\ntrans 0 2 5\ntrans 1 1 1\ntrans 1 2 1\n"
+    )
+    c = _write_constraints(tmp_path, "c", "k 2\nR bad.dfa\n")
+    for argv in (["match", "-w", "abaa", "-p", "aa"], ["analyze", "uni", "-w", "abaa"]):
+        assert run_cli(argv + ["-c", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "out-of-range state 5" in captured.err

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from gapsub import (
     INF,
     Alphabet,
+    Dfa,
     Embedding,
     GappedSequence,
     InputError,
@@ -87,11 +88,16 @@ def test_constraint_validation():
         def run(self, gap):
             return True
 
+    class LooksLikeDfa(RunOnly):
+        num_states, num_symbols, initial = 1, 2, 0
+        finals, table = frozenset({0}), ((0, 0),)
+
     star = sigma_star_dfa(2)
-    for dfa in (RunOnly(), object(), star.table):
-        with pytest.raises(InputError):
+    # only a Dfa, which checked its table when built, is taken
+    for dfa in (RunOnly(), LooksLikeDfa(), object(), star.table):
+        with pytest.raises(InputError, match="needs a Dfa"):
             RegularGap(dfa)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="needs a Dfa"):
             RegLenGap(0, 3, dfa)
     assert RegularGap(star).dfa is star and RegLenGap(0, 3, star).dfa is star
 
@@ -295,6 +301,49 @@ def test_normalize_constraints_checks_dfa_coverage():
     assert normalize_constraints(iter(gc), 4, 2).constraints == gc
     with pytest.raises(InputError, match="covers 2 symbols, the alphabet has 3"):
         normalize_constraints(gc, 4, 3)
+
+
+def test_dfa_is_checked_when_built():
+    ok = ((0, 1), (1, 1))
+    cases = [
+        ((2, 0, {0}, ((0, 5), (1, 1))), "transition \\(0, 2\\) targets out-of-range state 5"),
+        ((2, 0, {0}, ((0, -1), (1, 1))), "out-of-range state -1"),
+        ((2, 0, {0}, ((0, 1.0), (1, 1))), "out-of-range state 1.0"),
+        ((2, 7, {0}, ok), "initial state 7"),
+        ((2, True, {0}, ok), "initial state True"),
+        ((2, 0, {0, 2}, ok), "final state 2"),
+        ((2, 0, {0}, ((0, 1), (1,))), "state 1 has 1 transitions, expected 2"),
+        ((2, 0, {0}, (ok[0],)), "1 rows, expected 2"),
+        ((3, 0, {0}, ok), "2 rows, expected 3"),
+        ((0, 0, set(), ()), "at least one state"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InputError, match=message):
+            Dfa(*args)
+    d = Dfa(2, 1, [0], [[0, 1], [1, 1]])
+    assert d.table == ok and d.finals == frozenset({0}) and d.num_symbols == 2
+
+
+def test_malformed_dfa_rejected_by_every_entry_point():
+    # one table with a target outside 0..1: match once returned (3, 4) and
+    # universality False for it, while match_naive and counting raised IndexError
+    from gapsub import build_counting_nfa, count_embeddings, match, match_naive, universality
+
+    word, pattern = Word((1, 2, 1, 1)), Word((1, 1))
+
+    def gap():
+        return RegularGap(Dfa(2, 0, frozenset({0}), ((0, 5), (1, 1))))
+
+    calls = [
+        lambda: match(word, GappedSequence(pattern, (gap(),))),
+        lambda: match_naive(word, GappedSequence(pattern, (gap(),))),
+        lambda: count_embeddings(word, GappedSequence(pattern, (gap(),))),
+        lambda: universality(word, (gap(),), Alphabet(2)),
+        lambda: build_counting_nfa(word, (gap(),)),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="out-of-range state 5"):
+            call()
 
 
 def test_foreign_constraint_rejected_by_every_entry_point():

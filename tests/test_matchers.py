@@ -328,6 +328,16 @@ def test_equality_system_classes():
         EqualitySystem.from_pairs([(1, 9)]).classes(5)
 
 
+def test_equality_system_refuses_non_int_indices():
+    # a float index once raised TypeError from list indexing, a str one from <,
+    # and True was read as gap 1
+    gs = GappedSequence(w("aa"), (LengthGap(0, INF),))
+    for bad in (1.5, "1", True):
+        for pair in ((bad, 1), (1, bad)):
+            with pytest.raises(InputError, match="gap indices"):
+                match_with_equalities(w("aba"), gs, EqualitySystem.from_pairs([pair]))
+
+
 def test_equality_satisfied_by():
     word = w("abcabca")
     eq = EqualitySystem.from_pairs([(1, 2)])

@@ -102,6 +102,16 @@ def test_random_generators_are_deterministic():
     assert random_ov(3, 3, 7) != random_ov(3, 3, 8)
 
 
+def test_random_generators_refuse_negative_counts():
+    # a negative count once sliced pairs[:-1] or made an empty formula
+    with pytest.raises(InputError, match="edge count"):
+        random_graph(4, -1, 7)
+    with pytest.raises(InputError, match="clause count"):
+        random_cnf(3, -2, 7)
+    assert random_graph(4, 0, 7).edges == tuple((u, u) for u in range(1, 5))
+    assert random_cnf(3, 0, 7).clauses == ()
+
+
 # ---------------------------------------------------------------------------
 # orthogonal vectors as matching
 

@@ -59,3 +59,37 @@ def test_every_import_in_the_package_is_used():
         if name.endswith(".py")
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_names(tree):
+    """Module-level names starting with one underscore that the module defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_helper_in_the_package_is_used():
+    # a deleted caller must not leave its module-level helper behind
+    pkg = os.path.dirname(os.path.abspath(gapsub.__file__))
+    defined, used = {}, set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read(), name)
+        defined.update(dict.fromkeys(_private_names(tree), name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert {n: m for n, m in defined.items() if n not in used} == {}
