@@ -36,14 +36,11 @@ def empty_word_dfa(sigma: int) -> Dfa:
     return Dfa(2, 0, frozenset({0}), (tuple([1] * sigma), tuple([1] * sigma)))
 
 
-def build_subsequence_automaton(w: Word, sigma: Optional[int] = None) -> Dfa:
-    """DFA accepting exactly the non-empty subsequences of w.
-
-    States 0..n+1: state i means the shortest embedding so far ends at
-    position i; n+1 is the error sink.  On symbol a, state i moves to the
-    next occurrence of a strictly after i, or to the sink.  Finals are
-    1..n, so the empty word is rejected.
-    """
+def _subsequence_rows(w: Word, sigma: Optional[int]) -> tuple[tuple[int, ...], ...]:
+    """Table of the subsequence automaton of w, states 0..n+1: state i means
+    the shortest embedding so far ends at position i, n+1 is the error sink,
+    and on symbol a state i moves to the next occurrence of a strictly after
+    i, or to the sink."""
     n = len(w)
     if sigma is None:
         sigma = max(w.symbols, default=1)
@@ -59,14 +56,26 @@ def build_subsequence_automaton(w: Word, sigma: Optional[int] = None) -> Dfa:
         rows[i] = tuple(cur)
         if i > 0:
             cur[w.symbols[i - 1] - 1] = i
-    finals = frozenset(range(1, n + 1))
-    return Dfa(n + 2, 0, finals, tuple(rows))
+    return tuple(rows)
+
+
+def build_subsequence_automaton(w: Word, sigma: Optional[int] = None) -> Dfa:
+    """DFA accepting exactly the non-empty subsequences of w.
+
+    See _subsequence_rows for its states.  Finals are 1..n, so the empty
+    word is rejected.
+    """
+    n = len(w)
+    return Dfa(n + 2, 0, frozenset(range(1, n + 1)), _subsequence_rows(w, sigma))
 
 
 def build_co_subsequence_automaton(w: Word, sigma: Optional[int] = None) -> Dfa:
-    """DFA accepting exactly the non-empty words that are NOT subsequences of w."""
-    base = build_subsequence_automaton(w, sigma)
-    return Dfa(base.num_states, base.initial, frozenset({base.num_states - 1}), base.table)
+    """DFA accepting exactly the non-empty words that are NOT subsequences of w.
+
+    The subsequence automaton's table with the error sink as the one final.
+    """
+    n = len(w)
+    return Dfa(n + 2, 0, frozenset({n + 1}), _subsequence_rows(w, sigma))
 
 
 def product_shortest_accepted(a: Dfa, b: Dfa, maxlen: int) -> Optional[Word]:

@@ -40,11 +40,17 @@ analysis.py spread their frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
 
 GapStep.reach_counts is the count-valued twin of reach that all counting
-in multiplicity.py goes through: out[i] sums vec[j] over the positions j
-that reach i.  Zero and length windows take one prefix-sum difference,
-O(n); DFA gaps take one sweep carrying a count per DFA state, O(n states),
-where under a real window a start's count enters after lo symbols and
-leaves after hi+1, at the DFA states _Traces gives for it then.
+in multiplicity.py goes through: lane i of its output sums lane j of its
+input over the positions j that reach i.  A count vector is one int of
+fixed-width lanes, lane i (bits i*width to (i+1)*width) holding the count
+at position i, with the width chosen by the caller so that no sum
+overflows a lane.  Zero and length windows add shifted copies of the
+vector by doubling, the sum twin of the or-spread (Baeza-Yates & Gonnet,
+CACM 1992): O(log(hi-lo+2)) shift-adds on an (n+1)*width-bit int.  DFA
+gaps unpack the lanes, take one sweep carrying a count per DFA state,
+O(n states), where under a real window a start's count enters after lo
+symbols and leaves after hi+1, at the DFA states _Traces gives for it
+then, and pack the result.
 
 match_with_equalities backtracks over the common lengths of gap-length
 equality classes (NP-hard) in one explicit-stack search driven by forward
@@ -57,9 +63,9 @@ rest's matches.  A leaf's witness is one match_naive call.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -118,6 +124,44 @@ def _or_spread(x: int, span: int) -> int:
         x |= x << d
         covered += d
     return x
+
+
+def _add_spread(x: int, terms: int, width: int) -> int:
+    """x + (x << width) + ... + (x << (terms-1)*width), by doubling: at
+    most two shift-adds per bit of terms."""
+    total, offset, step = 0, 0, width
+    while True:
+        if terms & 1:
+            total += x << offset
+            offset += step
+        terms >>= 1
+        if not terms:
+            return total
+        x += x << step
+        step <<= 1
+
+
+def _unpack_lanes(x: int, lanes: int, width: int) -> list[int]:
+    """Lanes 0..lanes-1 of x, lane i being bits i*width to (i+1)*width."""
+    size = width // 8
+    raw = x.to_bytes(lanes * size, "little")
+    if width != 64:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    out = array("Q", raw)  # 64-bit lanes: one C-level conversion
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tolist()
+
+
+def _pack_lanes(counts: list[int], width: int) -> int:
+    """Inverse of _unpack_lanes: counts[i] in lane i; each count < 2**width."""
+    if width != 64:
+        size = width // 8
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+    out = array("Q", counts)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return int.from_bytes(out.tobytes(), "little")
 
 
 def _iter_bits(x: int) -> Iterable[int]:
@@ -302,8 +346,9 @@ class GapStep:
 
     reach(mask) maps a mask of positions j to the mask of positions i in
     1..n such that the gap w[j+1..i-1] satisfies the constraint for some
-    j in mask; pred(mask, i) is the least such j.  reach_counts(vec) is
-    its count-valued twin: out[i] is the sum of vec[j] over those j.
+    j in mask; pred(mask, i) is the least such j.  reach_counts(vec, width)
+    is its count-valued twin on an int of width-bit lanes, lane i from bit
+    i*width up: lane i of its output is the sum of lanes j over those j.
     Built once per (word, normalized constraint) and reused for every
     mask.  DFA state sets are ints with bit q for state q.
 
@@ -526,20 +571,18 @@ class GapStep:
             entries = nxt
         return _from_flags(out)
 
-    def reach_counts(self, vec: list[int]) -> list[int]:
-        """out[i] = sum of vec[j] over the j < i whose gap w[j+1..i-1] satisfies
-        the constraint, for i in 1..n; vec and out are indexed 0..n, out[0] = 0."""
+    def reach_counts(self, vec: int, width: int) -> int:
+        """Lane i of the result, for i in 1..n, is the sum of the lanes j < i
+        of vec whose gap w[j+1..i-1] satisfies the constraint; vec holds
+        lanes 0..n, the result lanes 1..n, and no sum may reach 2**width."""
         n, lo = self.n, self.lo
         if self.dfa is not None:
-            return self._count_sweep(vec)
-        m = n - lo  # out[lo+1..n] can be non-zero
-        if m <= 0:
-            return [0] * (n + 1)
-        span = self.hi - lo
-        pre = list(accumulate(vec[:m], initial=0))  # pre[u] = vec[0] + ... + vec[u-1]
-        # out[lo+u] = pre[u] - pre[max(u-span-1, 0)], for u in 1..m
-        lower = [0] * min(span + 1, m) + pre[1 : m - span]
-        return [0] * (lo + 1) + list(map(sub, pre[1:], lower))
+            return _pack_lanes(self._count_sweep(_unpack_lanes(vec, n + 1, width)), width)
+        if lo >= n:  # lo is not clamped to n: shifting by it could exhaust memory
+            return 0
+        # lane j moves to lanes j+lo+1 .. j+hi+1; lanes past n are cut
+        spread = _add_spread(vec << (lo + 1) * width, self.hi - lo + 1, width)
+        return spread & ((1 << (n + 1) * width) - 1)
 
     def _count_sweep(self, vec: list[int]) -> list[int]:
         """DFA gaps: one left-to-right sweep carrying a count per DFA state.

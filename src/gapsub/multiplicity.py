@@ -6,15 +6,19 @@ serves the module: its paths labelled p correspond one-to-one to the
 embeddings of p, and it moves a path-count vector on by one symbol with
 one spread across the next gap (GapStep.reach_counts, the count-valued
 gap step of matchers.py) and one filter on the symbol; this module has
-no gap walk of its own.  count_embeddings steps it along the pattern,
-parikh_k searches its prefixes depth-first in lexicographic order, and
-path_equivalent spreads each vector once for all symbols.  Equivalence
-of two counting automata is decided exactly, without enumerating
-strings, by a basis computation over the reachable path-count vectors
-(Tzeng, SIAM J. Comput. 1992), one layer of prefixes of one length at a
-time: each layer has its own basis of at most |w1| + |w2| + 2 rows, and
-the last layer, which has no successors, is compared without rows.
-Arithmetic is integer and exact, so counts beyond machine range are
+no gap walk of its own.  A path-count vector is one int of fixed-width
+lanes, one lane per word position, wide enough that no count or window
+sum overflows its lane, so a spread over a length window is a few
+shift-adds and a filter is one AND.  count_embeddings steps it along the
+pattern, parikh_k searches its prefixes depth-first in lexicographic
+order, and path_equivalent spreads each vector once for all symbols.
+Equivalence of two counting automata is decided exactly, without
+enumerating strings, by a basis computation over the reachable
+path-count vectors (Tzeng, SIAM J. Comput. 1992), one layer of prefixes
+of one length at a time: each layer has its own basis of at most
+|w1| + |w2| + 2 rows, and the last layer, which has no successors, is
+compared without rows.  The basis rows hold the unpacked lanes, and
+arithmetic is integer and exact, so counts beyond machine range are
 handled verbatim.  The witness of a difference is the least length-k
 string, in lexicographic order, whose counts differ.
 """
@@ -22,8 +26,7 @@ string, in lexicographic order, whose counts differ.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
-from operator import mul
+from math import comb, gcd, prod
 from typing import Optional
 
 from .analysis import _prepare
@@ -35,7 +38,7 @@ from .core import (
     normalize,
     normalize_constraints,
 )
-from .matchers import GapStep, _iter_bits
+from .matchers import GapStep, _iter_bits, _unpack_lanes
 
 
 def count_embeddings(w: Word, gs: GappedSequence) -> int:
@@ -89,12 +92,19 @@ class CountingNfa:
     prefix before the first matched position is free.
 
     The automaton is held as the word, its normalized constraints and one
-    GapStep per constraint.  A count vector (j, counts) gives the number of
-    paths ending in each state (i, j) of one layer j, counts indexed by i
-    in 0..n; step moves it on by one symbol, step_all by every symbol at
-    the cost of one spread, and both give None once no path is left.
-    transitions lists the explicit transition relation, built on first
-    access.
+    GapStep per constraint.  A count vector (j, V) gives the number of
+    paths ending in each state (i, j) of one layer j: V is one int whose
+    lane i, bits i*width to (i+1)*width, holds the count at position i, for
+    i in 0..n, and counts(vec) unpacks it.  A lane of layer j counts the
+    embeddings of one length-j string that end at i, so every lane, and
+    every sum of lanes a gap step forms, is at most comb(n, j) and at most
+    n times the product of the gaps' window sizes; width is the least
+    multiple of 64 bits that holds the smaller of comb(n, min(k, n // 2))
+    and that product, so no carry crosses a lane.  step moves a
+    vector on by one symbol, step_all by every symbol at the cost of one
+    spread, and both give None once no path is left; keeping the positions
+    of a symbol is one AND with its lane mask.  transitions lists the
+    explicit transition relation, built on first access.
     """
 
     def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
@@ -104,9 +114,29 @@ class CountingNfa:
         self.k = len(constraints) + 1
         self.steps = [GapStep(word.symbols, c) for c in constraints]
         self.initial = (0, 0)
-        # per symbol of the word, ascending: the 0/1 list over positions 0..n holding it
-        syms = word.symbols
-        self._at = {a: [0] + [int(s == a) for s in syms] for a in sorted(set(syms))}
+        n = len(word)
+        # an embedding is its first position and its gap lengths, so every
+        # lane and lane sum is also at most n times the window sizes' product
+        windows = prod(step.hi - step.lo + 1 for step in self.steps)
+        bound = min(comb(n, min(self.k, n // 2)), n * windows)
+        self.width = 64 * max(1, -(-bound.bit_length() // 64))
+        size = self.width // 8
+        # accepted's rounds, (shift, mask) each, from lanes 0..n down to
+        # lane 0: each adds the upper half of the lanes onto the lower
+        self._folds = []
+        lanes = n + 1
+        while lanes > 1:
+            lanes = (lanes + 1) // 2
+            self._folds.append((lanes * self.width, (1 << lanes * self.width) - 1))
+        # lane i is 1 for every position i in 0..n: the spread of the start
+        self._ones = int.from_bytes(b"\1".ljust(size, b"\0") * (n + 1), "little")
+        # per symbol of the word, ascending: the mask of the lanes of the positions holding it
+        empty, full = bytes(size), b"\xff" * size
+        syms = (0, *word.symbols)
+        self._at = {
+            a: int.from_bytes(b"".join([full if s == a else empty for s in syms]), "little")
+            for a in sorted(set(word.symbols))
+        }
 
     @cached_property
     def states(self) -> tuple[tuple[int, int], ...]:
@@ -141,31 +171,33 @@ class CountingNfa:
             out[(error, a)] = (error,)
         return out
 
-    def start(self) -> tuple[int, list[int]]:
+    def start(self) -> tuple[int, int]:
         """The count vector of the empty prefix: one path, in (0, 0)."""
-        return (0, [1] + [0] * len(self.word))
+        return (0, 1)
 
-    def _spread(self, vec: tuple[int, list[int]]) -> list[int]:
+    def counts(self, vec: tuple[int, int]) -> list[int]:
+        """The path counts of vec, indexed by position 0..n."""
+        return _unpack_lanes(vec[1], len(self.word) + 1, self.width)
+
+    def _spread(self, vec: tuple[int, int]) -> int:
         # counts across the gap after layer j; the prefix before layer 1 is free
         j, counts = vec
-        return [counts[0]] * len(counts) if j == 0 else self.steps[j - 1].reach_counts(counts)
+        if j == 0:
+            return counts * self._ones
+        return self.steps[j - 1].reach_counts(counts, self.width)
 
-    def _filter(self, j: int, spread: list[int], a: int) -> Optional[tuple[int, list[int]]]:
-        counts = list(map(mul, spread, self._at[a]))
-        return (j + 1, counts) if any(counts) else None
+    def _filter(self, j: int, spread: int, a: int) -> Optional[tuple[int, int]]:
+        counts = spread & self._at[a]
+        return (j + 1, counts) if counts else None
 
-    def step(
-        self, vec: Optional[tuple[int, list[int]]], a: int
-    ) -> Optional[tuple[int, list[int]]]:
+    def step(self, vec: Optional[tuple[int, int]], a: int) -> Optional[tuple[int, int]]:
         """Path counts after one more symbol a, or None once only the error
         state (which never accepts) is reached."""
         if vec is None or vec[0] == self.k or a not in self._at:
             return None
         return self._filter(vec[0], self._spread(vec), a)
 
-    def step_all(
-        self, vec: Optional[tuple[int, list[int]]]
-    ) -> dict[int, tuple[int, list[int]]]:
+    def step_all(self, vec: Optional[tuple[int, int]]) -> dict[int, tuple[int, int]]:
         """step(vec, a) for every symbol a it leaves a path for, in
         increasing order of a, from one spread of vec."""
         if vec is None or vec[0] == self.k:
@@ -174,9 +206,15 @@ class CountingNfa:
         nexts = {a: self._filter(vec[0], spread, a) for a in self._at}
         return {a: nxt for a, nxt in nexts.items() if nxt is not None}
 
-    def accepted(self, vec: Optional[tuple[int, list[int]]]) -> int:
+    def accepted(self, vec: Optional[tuple[int, int]]) -> int:
         """Paths of vec that end in a final state."""
-        return sum(vec[1]) if vec is not None and vec[0] == self.k else 0
+        if vec is None or vec[0] != self.k:
+            return 0
+        # the lane sum fits one lane, so no fold carries out of one
+        x = vec[1]
+        for shift, mask in self._folds:
+            x = (x & mask) + (x >> shift)
+        return x
 
 
 def build_counting_nfa(w: Word, gc) -> CountingNfa:
@@ -238,9 +276,9 @@ def path_equivalent(
                 return (False, Word(word))
             if depth == last:
                 continue
-            flat = dict(enumerate(v1[1])) if v1 else {}
+            flat = dict(enumerate(n1.counts(v1))) if v1 else {}
             if v2:
-                flat.update(enumerate(v2[1], offset2))
+                flat.update(enumerate(n2.counts(v2), offset2))
             if _insert_basis(flat, basis):
                 s1, s2 = n1.step_all(v1), n2.step_all(v2)
                 for a in sorted(s1.keys() | s2.keys()):

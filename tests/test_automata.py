@@ -15,6 +15,7 @@ from gapsub import (
     product_shortest_accepted,
     sigma_star_dfa,
 )
+from gapsub import automata
 from helpers import plain_subsequence_set
 
 
@@ -94,6 +95,19 @@ def test_co_automaton_is_complement_on_nonempty(wsyms, cand):
     else:
         # neither accepts the empty word
         assert not _accepts(a, ()) and not _accepts(b, ())
+
+
+def test_co_automaton_builds_one_dfa(monkeypatch):
+    # a Dfa checks its table when built, so one table is built and checked once
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Dfa(*args)
+
+    monkeypatch.setattr(automata, "Dfa", counted)
+    b = build_co_subsequence_automaton(Word((1, 2, 1)), sigma=2)
+    assert len(built) == 1 and b.finals == {4}
 
 
 def test_product_shortest_accepted_finds_lex_least():

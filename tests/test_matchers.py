@@ -31,7 +31,7 @@ from gapsub import (
 )
 from gapsub import matchers
 from gapsub.core import constraint_allows
-from gapsub.matchers import GapStep
+from gapsub.matchers import GapStep, _pack_lanes, _unpack_lanes
 from gapsub.reductions import CnfFormula, random_cnf, sat_to_match_equalities
 from helpers import (
     brute_embeddings,
@@ -309,7 +309,9 @@ def test_reach_counts_matches_quadratic_reference(data):
     singles = [[0] * j + [vec[j] or 1] + [0] * (n - j) for j in range(n + 1)]
     ends = [2] + [0] * (n - 1) + [3] if n else [5]
     for case in [vec, ends] + singles:
-        got = step.reach_counts(case)
+        # no lane sum exceeds sum(case), so that many bits hold every lane
+        width = 64 if sum(case) < 2**64 else 128
+        got = _unpack_lanes(step.reach_counts(_pack_lanes(case, width), width), n + 1, width)
         want = [0] + [
             sum(case[j] for j in range(i) if constraint_allows(c, syms[j : i - 1]))
             for i in range(1, n + 1)

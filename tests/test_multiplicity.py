@@ -16,6 +16,7 @@ from gapsub import (
     build_counting_nfa,
     count_embeddings,
     equivalence_with_multiplicities,
+    match,
     parikh_k,
     path_equivalent,
 )
@@ -67,9 +68,9 @@ def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
     calls = []
     reach_counts = GapStep.reach_counts
 
-    def counted(self, vec):
-        calls.append(len(vec))
-        return reach_counts(self, vec)
+    def counted(self, vec, width):
+        calls.append((self, vec))
+        return reach_counts(self, vec, width)
 
     monkeypatch.setattr(GapStep, "reach_counts", counted)
     word = w("abbaba")
@@ -247,16 +248,79 @@ def test_path_equivalent_with_different_pattern_lengths(data):
 
 
 def test_exactness_beyond_64_bits():
-    big = Word((1,) * 70)
-    gc = tuple(LengthGap(0, INF) for _ in range(34))
-    gs = GappedSequence(Word((1,) * 35), gc)
-    want = math.comb(70, 35)
-    assert want > 2**64
-    assert count_embeddings(big, gs) == want
-    ok, wit = equivalence_with_multiplicities(big, big, gc)
-    assert ok
-    smaller = Word((1,) * 69)
-    ok, wit = equivalence_with_multiplicities(big, smaller, gc)
-    assert not ok
-    assert wit is not None and len(wit) == 35
-    assert count_embeddings(smaller, GappedSequence(wit, gc)) == math.comb(69, 35)
+    # comb(70, 35) passes 2**64, so the lanes are 128 bits wide;
+    # comb(140, 70) passes 2**128
+    for n, k in [(70, 35), (140, 70)]:
+        big = Word((1,) * n)
+        gc = tuple(LengthGap(0, INF) for _ in range(k - 1))
+        gs = GappedSequence(Word((1,) * k), gc)
+        want = math.comb(n, k)
+        assert want > 2**64
+        assert build_counting_nfa(big, gc).width == 64 * -(-want.bit_length() // 64)
+        assert count_embeddings(big, gs) == want
+        assert parikh_k(big, gc, Alphabet(1)) == {Word((1,) * k): want}
+        ok, wit = equivalence_with_multiplicities(big, big, gc)
+        assert ok
+        smaller = Word((1,) * (n - 1))
+        ok, wit = equivalence_with_multiplicities(big, smaller, gc)
+        assert not ok
+        assert wit is not None and len(wit) == k
+        assert count_embeddings(smaller, GappedSequence(wit, gc)) == math.comb(n - 1, k)
+    # gaps of length 0 or 1: an embedding of 1^100 in 1^200 is a start and
+    # 99 gap lengths, so the lanes are sized by 200 * 2**99, not by
+    # comb(200, 100), and the count 103 * 2**98 nearly fills them
+    gc = (LengthGap(0, 1),) * 99
+    assert build_counting_nfa(Word((1,) * 200), gc).width == 128
+    want = sum(math.comb(99, s) * (101 - s) for s in range(100))
+    assert want == 103 * 2**98
+    assert count_embeddings(Word((1,) * 200), GappedSequence(Word((1,) * 100), gc)) == want
+
+
+def test_counting_edges():
+    empty = Word(())
+    # the empty word holds no non-empty string
+    assert count_embeddings(empty, GappedSequence(w("a"), ())) == 0
+    assert parikh_k(empty, FREE, AB) == {}
+    assert equivalence_with_multiplicities(empty, empty, FREE) == (True, None)
+    ok, wit = equivalence_with_multiplicities(empty, w("ab"), FREE)
+    assert not ok and _as_str(wit) == "ab"
+    # k = 1: a count is the number of occurrences of the symbol
+    assert {_as_str(x): c for x, c in parikh_k(w("abbab"), (), AB).items()} == {"a": 2, "b": 3}
+    assert count_embeddings(w("abbab"), GappedSequence(w("b"), ())) == 3
+    assert equivalence_with_multiplicities(w("abbab"), w("babba"), ()) == (True, None)
+    ok, wit = equivalence_with_multiplicities(w("abbab"), w("abba"), ())
+    assert not ok and _as_str(wit) == "b"
+    # a lower bound past the word: nothing embeds
+    far = (LengthGap(9, 12),)
+    assert count_embeddings(w("abab"), GappedSequence(w("ab"), far)) == 0
+    assert parikh_k(w("abab"), far, AB) == {}
+    assert equivalence_with_multiplicities(w("abab"), w("ba"), far) == (True, None)
+    # a gap of 9 fits one "aa" in the longer word, and "aa" comes first
+    ok, wit = equivalence_with_multiplicities(w("abab"), w("a" * 11 + "b"), far)
+    assert not ok and _as_str(wit) == "aa"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_counting_layers_agree(data):
+    # parikh_k against count_embeddings, count against match, and
+    # multiplicity equivalence against the two parikh_k dicts, with each
+    # gap of any kind
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    sigma = rng.randint(1, 3)
+    k = rng.randint(1, 4)
+    kinds = ("length", "regular", "reglen")
+    gc = tuple(random_constraint(rng, rng.choice(kinds), sigma) for _ in range(k - 1))
+    wa, wb = (Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 10)))) for _ in "ab")
+    pa, pb = ({p.symbols: c for p, c in parikh_k(x, gc, Alphabet(sigma)).items()} for x in (wa, wb))
+    assert all(c > 0 for c in pa.values())
+    for p in itertools.product(range(1, sigma + 1), repeat=k):
+        gs = GappedSequence(Word(p), gc)
+        count = count_embeddings(wa, gs)
+        assert pa.get(p, 0) == count
+        assert (count > 0) == (match(wa, gs) is not None)
+    differ = sorted(p for p in pa.keys() | pb.keys() if pa.get(p, 0) != pb.get(p, 0))
+    ok, wit = equivalence_with_multiplicities(wa, wb, gc)
+    assert ok == (not differ)
+    # the witness is the least string whose counts differ
+    assert (wit is None) if ok else (wit.symbols == differ[0])
