@@ -7,11 +7,12 @@ embeddings of p, and it moves a path-count vector on by one symbol with
 one spread across the next gap (GapStep.reach_counts, the count-valued
 gap step of matchers.py) and one filter on the symbol; this module has
 no gap walk of its own.  A path-count vector is one int of fixed-width
-lanes, one lane per word position, wide enough that no count or window
-sum overflows its lane, so a spread over a length window is a few
-shift-adds and a filter is one AND.  count_embeddings steps it along the
-pattern, parikh_k searches its prefixes depth-first in lexicographic
-order, and path_equivalent spreads each vector once for all symbols.
+lanes, one lane per word position, each vector with lanes wide enough
+for its own counts and every sum its spread forms, so a spread over a
+length window is a few shift-adds and a filter is one AND.
+count_embeddings steps it along the pattern, parikh_k searches its
+prefixes depth-first in lexicographic order, and path_equivalent spreads
+each vector once for all symbols.
 Equivalence of two counting automata is decided exactly, without
 enumerating strings, by a basis computation over the reachable
 path-count vectors (Tzeng, SIAM J. Comput. 1992), one layer of prefixes
@@ -26,7 +27,7 @@ string, in lexicographic order, whose counts differ.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb, gcd, prod
+from math import gcd
 from typing import Optional
 
 from .analysis import _prepare
@@ -38,7 +39,7 @@ from .core import (
     normalize,
     normalize_constraints,
 )
-from .matchers import GapStep, _iter_bits, _unpack_lanes
+from .matchers import GapStep, _iter_bits, _pack_lanes, _unpack_lanes
 
 
 def count_embeddings(w: Word, gs: GappedSequence) -> int:
@@ -92,19 +93,22 @@ class CountingNfa:
     prefix before the first matched position is free.
 
     The automaton is held as the word, its normalized constraints and one
-    GapStep per constraint.  A count vector (j, V) gives the number of
-    paths ending in each state (i, j) of one layer j: V is one int whose
-    lane i, bits i*width to (i+1)*width, holds the count at position i, for
-    i in 0..n, and counts(vec) unpacks it.  A lane of layer j counts the
-    embeddings of one length-j string that end at i, so every lane, and
-    every sum of lanes a gap step forms, is at most comb(n, j) and at most
-    n times the product of the gaps' window sizes; width is the least
-    multiple of 64 bits that holds the smaller of comb(n, min(k, n // 2))
-    and that product, so no carry crosses a lane.  step moves a
-    vector on by one symbol, step_all by every symbol at the cost of one
-    spread, and both give None once no path is left; keeping the positions
-    of a symbol is one AND with its lane mask.  transitions lists the
-    explicit transition relation, built on first access.
+    GapStep per constraint.  A count vector (j, V, bound) gives the number
+    of paths ending in each state (i, j) of one layer j: V is one int of
+    lanes of _lane_width(bound) bits, lane i holding the count at position
+    i, for i in 0..n, and bound is at least the sum of the lanes; counts(vec)
+    unpacks it.  A spread sums lanes, so every sum it forms is at most the
+    lane sum, and the lane sum of its output is at most the lane sum times
+    the most positions one position reaches across the gap (its window
+    size).  step widens the lanes of the next layer to hold that product
+    and, when the product needs wider lanes than the vector has, first
+    takes the exact lane sum in place of the bound and repacks the lanes to
+    fit the product: the lanes follow the counts, and no carry crosses a
+    lane.  step moves a vector on by one symbol, step_all by every symbol
+    at the cost of one spread, and both give None once no path is left;
+    keeping the positions of a symbol is one AND with its lane mask.
+    transitions lists the explicit transition relation, built on first
+    access.
     """
 
     def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
@@ -115,28 +119,13 @@ class CountingNfa:
         self.steps = [GapStep(word.symbols, c) for c in constraints]
         self.initial = (0, 0)
         n = len(word)
-        # an embedding is its first position and its gap lengths, so every
-        # lane and lane sum is also at most n times the window sizes' product
-        windows = prod(step.hi - step.lo + 1 for step in self.steps)
-        bound = min(comb(n, min(self.k, n // 2)), n * windows)
-        self.width = 64 * max(1, -(-bound.bit_length() // 64))
-        size = self.width // 8
-        # accepted's rounds, (shift, mask) each, from lanes 0..n down to
-        # lane 0: each adds the upper half of the lanes onto the lower
-        self._folds = []
-        lanes = n + 1
-        while lanes > 1:
-            lanes = (lanes + 1) // 2
-            self._folds.append((lanes * self.width, (1 << lanes * self.width) - 1))
+        # per layer j, the most positions one position of layer j reaches:
+        # any of 0..n from the start, at most the window size across a gap
+        # (at least 1, so a bound never falls below the sums a spread forms)
+        self._reach = [n + 1] + [max(1, step.hi - step.lo + 1) for step in self.steps]
         # lane i is 1 for every position i in 0..n: the spread of the start
-        self._ones = int.from_bytes(b"\1".ljust(size, b"\0") * (n + 1), "little")
-        # per symbol of the word, ascending: the mask of the lanes of the positions holding it
-        empty, full = bytes(size), b"\xff" * size
-        syms = (0, *word.symbols)
-        self._at = {
-            a: int.from_bytes(b"".join([full if s == a else empty for s in syms]), "little")
-            for a in sorted(set(word.symbols))
-        }
+        self._ones = _pack_lanes([1] * (n + 1), _lane_width(n + 1))
+        self._lanes: dict[int, tuple[dict[int, int], list[tuple[int, int]]]] = {}
 
     @cached_property
     def states(self) -> tuple[tuple[int, int], ...]:
@@ -171,50 +160,94 @@ class CountingNfa:
             out[(error, a)] = (error,)
         return out
 
-    def start(self) -> tuple[int, int]:
+    def _lanes_of(self, width: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        """At one lane width: per symbol of the word, ascending, the mask of
+        the lanes of the positions holding it, and accepted's rounds, (shift,
+        mask) each, from lanes 0..n down to lane 0, each adding the upper
+        half of the lanes onto the lower."""
+        got = self._lanes.get(width)
+        if got is None:
+            syms = (0, *self.word.symbols)
+            full = (1 << width) - 1
+            at = {
+                a: _pack_lanes([full if s == a else 0 for s in syms], width)
+                for a in sorted(set(self.word.symbols))
+            }
+            folds = []
+            lanes = len(syms)
+            while lanes > 1:
+                lanes = (lanes + 1) // 2
+                folds.append((lanes * width, (1 << lanes * width) - 1))
+            got = self._lanes[width] = (at, folds)
+        return got
+
+    def _sum(self, counts: int, width: int) -> int:
+        # the lane sum fits one lane, so no fold carries out of one
+        for shift, mask in self._lanes_of(width)[1]:
+            counts = (counts & mask) + (counts >> shift)
+        return counts
+
+    def start(self) -> tuple[int, int, int]:
         """The count vector of the empty prefix: one path, in (0, 0)."""
-        return (0, 1)
+        return (0, 1, 1)
 
-    def counts(self, vec: tuple[int, int]) -> list[int]:
+    def counts(self, vec: tuple[int, int, int]) -> list[int]:
         """The path counts of vec, indexed by position 0..n."""
-        return _unpack_lanes(vec[1], len(self.word) + 1, self.width)
+        return _unpack_lanes(vec[1], len(self.word) + 1, _lane_width(vec[2]))
 
-    def _spread(self, vec: tuple[int, int]) -> int:
-        # counts across the gap after layer j; the prefix before layer 1 is free
-        j, counts = vec
+    def _spread(self, vec: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The counts across the gap after layer j (the prefix before layer
+        1 is free), their lane width and a bound on their lane sum."""
+        j, counts, bound = vec
+        width = _lane_width(bound)
+        grown = bound * self._reach[j]
+        if grown >> width:
+            # the bound asks for wider lanes: take the exact sum in its place
+            grown = self._sum(counts, width) * self._reach[j]
+            fit = _lane_width(grown)
+            if fit != width:
+                counts = _pack_lanes(_unpack_lanes(counts, len(self.word) + 1, width), fit)
+                width = fit
         if j == 0:
-            return counts * self._ones
-        return self.steps[j - 1].reach_counts(counts, self.width)
+            return (counts * self._ones, width, grown)
+        return (self.steps[j - 1].reach_counts(counts, width), width, grown)
 
-    def _filter(self, j: int, spread: int, a: int) -> Optional[tuple[int, int]]:
-        counts = spread & self._at[a]
-        return (j + 1, counts) if counts else None
-
-    def step(self, vec: Optional[tuple[int, int]], a: int) -> Optional[tuple[int, int]]:
+    def step(
+        self, vec: Optional[tuple[int, int, int]], a: int
+    ) -> Optional[tuple[int, int, int]]:
         """Path counts after one more symbol a, or None once only the error
         state (which never accepts) is reached."""
-        if vec is None or vec[0] == self.k or a not in self._at:
+        if vec is None or vec[0] == self.k:
             return None
-        return self._filter(vec[0], self._spread(vec), a)
+        spread, width, bound = self._spread(vec)
+        counts = spread & self._lanes_of(width)[0].get(a, 0)
+        return (vec[0] + 1, counts, bound) if counts else None
 
-    def step_all(self, vec: Optional[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    def step_all(
+        self, vec: Optional[tuple[int, int, int]]
+    ) -> dict[int, tuple[int, int, int]]:
         """step(vec, a) for every symbol a it leaves a path for, in
         increasing order of a, from one spread of vec."""
         if vec is None or vec[0] == self.k:
             return {}
-        spread = self._spread(vec)
-        nexts = {a: self._filter(vec[0], spread, a) for a in self._at}
-        return {a: nxt for a, nxt in nexts.items() if nxt is not None}
+        spread, width, bound = self._spread(vec)
+        out = {}
+        for a, mask in self._lanes_of(width)[0].items():
+            counts = spread & mask
+            if counts:
+                out[a] = (vec[0] + 1, counts, bound)
+        return out
 
-    def accepted(self, vec: Optional[tuple[int, int]]) -> int:
+    def accepted(self, vec: Optional[tuple[int, int, int]]) -> int:
         """Paths of vec that end in a final state."""
         if vec is None or vec[0] != self.k:
             return 0
-        # the lane sum fits one lane, so no fold carries out of one
-        x = vec[1]
-        for shift, mask in self._folds:
-            x = (x & mask) + (x >> shift)
-        return x
+        return self._sum(vec[1], _lane_width(vec[2]))
+
+
+def _lane_width(bound: int) -> int:
+    """The least multiple of 64 bits that holds bound."""
+    return 64 * max(1, -(-bound.bit_length() // 64))
 
 
 def build_counting_nfa(w: Word, gc) -> CountingNfa:

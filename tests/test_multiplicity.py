@@ -11,6 +11,7 @@ from gapsub import (
     BudgetError,
     GappedSequence,
     LengthGap,
+    RegularGap,
     Word,
     ZeroGap,
     build_counting_nfa,
@@ -19,6 +20,7 @@ from gapsub import (
     match,
     parikh_k,
     path_equivalent,
+    sigma_star_dfa,
 )
 from gapsub import multiplicity
 from gapsub.matchers import GapStep
@@ -247,8 +249,15 @@ def test_path_equivalent_with_different_pattern_lengths(data):
     assert (wit is None) if ok else (wit.symbols == differ[0][1])
 
 
+def _last_vector(nfa, p):
+    vec = nfa.start()
+    for a in p:
+        vec = nfa.step(vec, a)
+    return vec
+
+
 def test_exactness_beyond_64_bits():
-    # comb(70, 35) passes 2**64, so the lanes are 128 bits wide;
+    # comb(70, 35) passes 2**64, so the last lanes are 128 bits wide;
     # comb(140, 70) passes 2**128
     for n, k in [(70, 35), (140, 70)]:
         big = Word((1,) * n)
@@ -256,7 +265,10 @@ def test_exactness_beyond_64_bits():
         gs = GappedSequence(Word((1,) * k), gc)
         want = math.comb(n, k)
         assert want > 2**64
-        assert build_counting_nfa(big, gc).width == 64 * -(-want.bit_length() // 64)
+        nfa = build_counting_nfa(big, gc)
+        vec = _last_vector(nfa, gs.pattern.symbols)
+        assert vec[2] >= want and multiplicity._lane_width(vec[2]) > 64
+        assert nfa.accepted(vec) == want
         assert count_embeddings(big, gs) == want
         assert parikh_k(big, gc, Alphabet(1)) == {Word((1,) * k): want}
         ok, wit = equivalence_with_multiplicities(big, big, gc)
@@ -267,13 +279,35 @@ def test_exactness_beyond_64_bits():
         assert wit is not None and len(wit) == k
         assert count_embeddings(smaller, GappedSequence(wit, gc)) == math.comb(n - 1, k)
     # gaps of length 0 or 1: an embedding of 1^100 in 1^200 is a start and
-    # 99 gap lengths, so the lanes are sized by 200 * 2**99, not by
-    # comb(200, 100), and the count 103 * 2**98 nearly fills them
+    # 99 gap lengths, and the count 103 * 2**98 nearly fills 128-bit lanes
     gc = (LengthGap(0, 1),) * 99
-    assert build_counting_nfa(Word((1,) * 200), gc).width == 128
     want = sum(math.comb(99, s) * (101 - s) for s in range(100))
     assert want == 103 * 2**98
     assert count_embeddings(Word((1,) * 200), GappedSequence(Word((1,) * 100), gc)) == want
+    # a gap that cannot fit the shorter word (101 > 100 symbols) after a
+    # DFA gap, with 2**96-sized counts before it: the longer word's counts
+    # decide, and the shorter word's lanes still hold its counts
+    gc = (LengthGap(0, INF),) * 29 + (RegularGap(sigma_star_dfa(1)), LengthGap(101, 101))
+    short, long_ = Word((1,) * 100), Word((1,) * 300)
+    assert count_embeddings(short, GappedSequence(Word((1,) * 32), gc)) == 0
+    assert equivalence_with_multiplicities(short, long_, gc) == (False, Word((1,) * 32))
+    nfa = build_counting_nfa(short, gc)
+    vec = _last_vector(nfa, (1,) * 31)
+    assert sum(nfa.counts(vec)) == math.comb(100, 31) > 2**64
+
+
+def test_lanes_follow_the_counts():
+    # 1 2 3 repeated under gaps of at most 2: each 1 starts one run, so a
+    # layer never holds more than 100 paths, though 3**98 bounds the windows
+    word = Word((1, 2, 3) * 100)
+    gc = (LengthGap(0, 2),) * 98
+    nfa = build_counting_nfa(word, gc)
+    vec = nfa.start()
+    for a in (1, 2, 3) * 33:
+        vec = nfa.step(vec, a)
+        assert multiplicity._lane_width(vec[2]) == 64
+    assert nfa.accepted(vec) == 68
+    assert count_embeddings(word, GappedSequence(Word((1, 2, 3) * 33), gc)) == 68
 
 
 def test_counting_edges():
