@@ -13,7 +13,9 @@ gap satisfied, follows from D[t-1] through one gap step:
 A GapStep is built once per (word, constraint) and picks its case from
 the constraint alone:
 
-- zero or length window   shift plus a doubling or-spread
+- zero or length window   shift plus a doubling or-spread, O(1) once the
+                          span covers the mask from its lowest set bit to
+                          its highest (the spread is then one run of bits)
 - DFA, vacuous window     one sweep over sets of DFA states, with subset
                           images memoised per symbol, O(n) per gap; it
                           stops once the set is every reachable state and
@@ -58,13 +60,20 @@ and backward masks built by the length gap step's or-spread: with the
 classes fixed so far as exact windows, the lengths gap g can take in an
 embedding that ignores the equalities are exactly the l for which the ends
 of the first g symbols' matches, shifted by l+1, meet the starts of the
-rest's matches.  A leaf's witness is one match_naive call.
+rest's matches.  The masks are updated, not rebuilt: a node that fixes
+class c copies its parent's masks and recomputes the forward ones from c's
+first gap on and the backward ones from c's last gap down, jumping to c's
+next gap wherever a mask comes out unchanged, since each mask depends only
+on its neighbour and the one window between them.  It re-tests only the
+open classes that own a gap whose masks changed.  A leaf's witness is one
+match_naive call.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -117,12 +126,21 @@ _BIT_PARALLEL_MAX_COST = 32_000
 
 
 def _or_spread(x: int, span: int) -> int:
-    """x | (x << 1) | ... | (x << span), by doubling."""
-    covered = 0
-    while covered < span:
-        d = min(covered + 1, span - covered)
-        x |= x << d
-        covered += d
+    """x | (x << 1) | ... | (x << span): one run of bits, in O(1) big-int
+    operations, once span covers x from its lowest set bit to its highest,
+    else by doubling."""
+    if not x or not span:
+        return x
+    if span > 3:  # a smaller span takes at most two doubling steps, no more than the test
+        low, top = _lowest_bit(x), x.bit_length()
+        if span >= top - 1 - low:
+            return (1 << (top + span)) - (1 << low)
+    covered = 0  # x holds the shifts 0..covered
+    while 2 * covered < span:
+        x |= x << (covered + 1)
+        covered += covered + 1
+    if covered < span:
+        x |= x << (span - covered)
     return x
 
 
@@ -736,18 +754,46 @@ class EqualitySystem:
         return all(len(e.gap(w, a)) == len(e.gap(w, b)) for a, b in self.pairs)
 
 
-def _eq_masks(posmask: dict[int, int], p: tuple[int, ...], windows: list) -> tuple[list[int], list[int]]:
-    """F[j] / B[j]: where symbol j (1-based) of p can sit in a match of the
-    first j symbols / of symbols j..k under the length windows; index 0 is
-    unused.  A match of all of p exists exactly when F[k] is non-zero."""
-    F = [0, posmask[p[0]]]
-    for (lo, hi), a in zip(windows, p[1:]):
-        F.append(_or_spread(F[-1] << (1 + lo), hi - lo) & posmask[a])
-    B = [0] * len(p) + [posmask[p[-1]]]
-    for j in range(len(p) - 1, 0, -1):
-        lo, hi = windows[j - 1]
-        B[j] = (_or_spread(B[j + 1], hi - lo) >> (1 + hi)) & posmask[p[j - 1]]
-    return F, B
+def _eq_update(
+    posmask: dict[int, int], p: tuple[int, ...], windows: list, F: list[int], B: list[int], gaps
+) -> Optional[set[int]]:
+    """Bring F and B up to date, in place, after the windows of gaps (an
+    increasing sequence) changed.  F[j] / B[j] is where symbol j (1-based)
+    of p can sit in a match of the first j symbols / of symbols j..k under
+    the length windows; index 0 is unused.  F[j+1] depends only on F[j] and
+    gap j's window, and B[j] only on B[j+1] and that window, so a mask that
+    comes out equal to its old value leaves every mask up to the next gap of
+    gaps unchanged, and the walk jumps there.  Returns the gaps g whose
+    window, F[g] or B[g+1] changed, or None when no match of p remains."""
+    k = len(p)
+    touched = set(gaps)
+    g = gaps[0] if gaps else k
+    while g < k:
+        lo, hi = windows[g - 1]
+        new = _or_spread(F[g] << (1 + lo), hi - lo) & posmask[p[g]]
+        if not new:
+            return None
+        if new != F[g + 1]:
+            F[g + 1] = new
+            touched.add(g + 1)
+            g += 1
+        else:
+            i = bisect_right(gaps, g)
+            g = gaps[i] if i < len(gaps) else k
+    if not F[-1]:
+        return None
+    g = gaps[-1] if gaps else 0
+    while g >= 1:
+        lo, hi = windows[g - 1]
+        new = (_or_spread(B[g + 1], hi - lo) >> (1 + hi)) & posmask[p[g - 1]]
+        if new != B[g]:
+            B[g] = new
+            touched.add(g - 1)
+            g -= 1
+        else:
+            i = bisect_left(gaps, g)
+            g = gaps[i - 1] if i else 0
+    return touched
 
 
 def _class_lengths(cl: tuple[int, ...], windows: list, F: list[int], B: list[int]) -> Iterator[int]:
@@ -771,11 +817,13 @@ def match_with_equalities(
     each equality class of two or more gaps, classes ordered by their
     smallest gap index and lengths tried in increasing order, in one
     explicit-stack search.  A node fixes the classes before it to exact
-    (l, l) windows and rebuilds the masks F and B under them (see
-    _eq_masks).  It is pruned when no match remains or some open class
-    has no length that all its gaps can take (_class_lengths); both tests
-    ignore only the open equalities, so no embedding is lost.  Otherwise
-    it branches on the next class's lengths.
+    (l, l) windows.  It takes its parent's windows and masks F and B and
+    updates only what fixing its own class changed (_eq_update).  It is
+    pruned when no match remains or some open class has no length that all
+    its gaps can take (_class_lengths); both tests ignore only the open
+    equalities, so no embedding is lost.  The parent found every open class
+    a length, so only the classes with a gap whose masks changed are tested
+    again.  Otherwise the node branches on the next class's lengths.
 
     The witness is canonical: the class lengths are the lexicographically
     least feasible tuple, and the embedding is the canonical witness with
@@ -791,32 +839,39 @@ def match_with_equalities(
     if infeasible:
         return None
     p = gs.pattern.symbols
-    classes = [cl for cl in eq.classes(len(p) - 1) if len(cl) >= 2]
-    base = [constraint_window(c, len(w)) for c in gs.constraints]
+    k = len(p)
+    classes = [cl for cl in eq.classes(k - 1) if len(cl) >= 2]
+    owner = {g: i for i, cl in enumerate(classes) for g in cl}
     posmask = position_masks(w.symbols, p)
-    path = [0] * len(classes)  # path[i]: the length class i is fixed to
-    stack = [(0, 0)]  # (classes fixed, the length of the last of them)
+    root = [constraint_window(c, len(w)) for c in gs.constraints]
+    F = [0, posmask[p[0]]] + [0] * (k - 1)
+    B = [0] * k + [posmask[p[-1]]]
+    # (classes fixed, the length of the last of them, the parent's windows, F, B)
+    stack = [(0, 0, root, F, B)]
     while stack:
-        d, ell = stack.pop()
+        d, ell, windows, F, B = stack.pop()
         if d:
-            path[d - 1] = ell
-        windows = list(base)
-        for cl, fixed in zip(classes, path[:d]):
-            for g in cl:
-                windows[g - 1] = (fixed, fixed)
-        F, B = _eq_masks(posmask, p, windows)
-        if not F[-1]:
+            gaps = classes[d - 1]
+            windows, F, B = list(windows), list(F), list(B)
+            for g in gaps:
+                windows[g - 1] = (ell, ell)
+        else:
+            gaps = range(1, k)
+        touched = _eq_update(posmask, p, windows, F, B, gaps)
+        if touched is None:
             continue
         if d == len(classes):
             cons = list(gs.constraints)
-            for cl, fixed in zip(classes, path):
+            for cl in classes:
+                fixed = windows[cl[0] - 1][0]
                 for g in cl:
                     cons[g - 1] = LengthGap(fixed, fixed) if fixed else ZeroGap()
             return match_naive(w, GappedSequence(gs.pattern, tuple(cons)))
-        for cl in classes[d + 1 :]:
-            if next(_class_lengths(cl, windows, F, B), None) is None:
+        retest = sorted({owner[g] for g in touched if owner.get(g, -1) > d})
+        for i in retest:
+            if next(_class_lengths(classes[i], windows, F, B), None) is None:
                 break  # a later class has no length left
         else:
             for ell in reversed(list(_class_lengths(classes[d], windows, F, B))):
-                stack.append((d + 1, ell))
+                stack.append((d + 1, ell, windows, F, B))
     return None

@@ -14,6 +14,7 @@ from gapsub import (
     RegularGap,
     Word,
     ZeroGap,
+    match_with_equalities,
     sigma_star_dfa,
     solve_ov_bruteforce,
     solve_sat_bruteforce,
@@ -37,7 +38,7 @@ from gapsub.cli import (
     serialize_word_text,
     load_word_value,
 )
-from gapsub.reductions import random_cnf, random_graph, random_ov
+from gapsub.reductions import random_cnf, random_graph, random_ov, sat_to_match_equalities
 
 
 def test_word_file_round_trip_char():
@@ -463,6 +464,31 @@ def test_cli_gen_sat_eq_pipeline(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == (0 if solve_sat_bruteforce(f) else 1)
+
+
+def test_cli_match_eq_agrees_with_library(tmp_path, capsys):
+    # gen sat-eq then match --eq --witness: the exit code and witness line
+    # of the CLI are those of match_with_equalities on the same formula
+    answers = []
+    for seed in range(20):
+        prefix = str(tmp_path / f"e{seed}")
+        argv = ["gen", "sat-eq", "--out", prefix, "--seed", str(seed), "--vars", "3"]
+        assert run_cli(argv + ["--clauses", str(8 + seed)]) == 0
+        capsys.readouterr()
+        f = parse_cnf_text((tmp_path / f"e{seed}.cnf").read_text())
+        code = run_cli(
+            ["match", "-w", f"@{prefix}.word", "-p", f"@{prefix}.pattern", "-c",
+             f"{prefix}.constraints", "--eq", f"{prefix}.eq", "--witness"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        got = match_with_equalities(*sat_to_match_equalities(f))
+        assert code == (1 if got is None else 0)
+        if got is None:
+            assert lines == ["match: no"]
+        else:
+            assert lines == ["match: yes", "witness: " + " ".join(map(str, got.positions))]
+        answers.append(got is not None)
+    assert 5 <= sum(answers) <= 15, answers
 
 
 def test_cli_bench_smoke(tmp_path, capsys):

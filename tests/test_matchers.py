@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 
@@ -30,7 +32,7 @@ from gapsub import (
     verify_embedding,
 )
 from gapsub import matchers
-from gapsub.core import constraint_allows
+from gapsub.core import constraint_allows, constraint_window
 from gapsub.matchers import GapStep, _pack_lanes, _unpack_lanes
 from gapsub.reductions import CnfFormula, random_cnf, sat_to_match_equalities
 from helpers import (
@@ -321,6 +323,55 @@ def test_reach_counts_matches_quadratic_reference(data):
         assert sum(1 << i for i, x in enumerate(got) if x) == step.reach(support)
 
 
+def _literal_or_spread(x, span):
+    return functools.reduce(operator.or_, (x << s for s in range(span + 1)), 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_or_spread_matches_literal_or(data):
+    x = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 200).map(lambda i: 1 << i),
+            st.integers(1, 2**130),  # dense
+            st.lists(st.integers(0, 300), min_size=1, max_size=4).map(  # sparse
+                lambda bits: sum(1 << b for b in set(bits))
+            ),
+        )
+    )
+    # the kernel saturates once span covers x from its lowest bit to its top
+    cover = x.bit_length() - 1 - ((x & -x).bit_length() - 1) if x else 0
+    span = data.draw(
+        st.sampled_from([0, max(cover - 2, 0), max(cover - 1, 0), cover, cover + 1, cover + 500])
+        | st.integers(0, 400)
+    )
+    assert matchers._or_spread(x, span) == _literal_or_spread(x, span)
+
+
+def test_unbounded_length_gap_reach_saturates_exactly():
+    # LengthGap(lo, INF) spreads over the whole word, so its window covers
+    # every mask; reach and both matchers must still cut at lo and at n
+    rng = random.Random("saturated-reach")
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        sigma = rng.randint(1, 3)
+        syms = tuple(rng.randint(1, sigma) for _ in range(n))
+        lo = rng.randint(0, n + 2)
+        step = GapStep(syms, LengthGap(lo, INF))
+        density = rng.choice((0.05, 0.3, 0.9))
+        mask = sum(1 << j for j in range(n + 1) if rng.random() < density)
+        want = sum(1 << i for i in range(1, n + 1) if any(mask >> j & 1 for j in range(i - lo)))
+        assert step.reach(mask) == want
+        word = Word(syms)
+        gs = GappedSequence(Word((rng.randint(1, sigma), rng.randint(1, sigma))), (LengthGap(lo, INF),))
+        embeddings = brute_embeddings(word, gs)
+        for fn in (match_naive, match):
+            got = fn(word, gs)
+            assert (got is None) == (not embeddings)
+            assert got is None or got.positions == min(embeddings, key=lambda e: e[::-1])
+
+
 def test_equality_system_classes():
     eq = EqualitySystem.from_pairs([(1, 3), (3, 5), (2, 4)])
     assert eq.classes(5) == [(1, 3, 5), (2, 4)]
@@ -446,6 +497,146 @@ def test_equality_search_agrees_with_match_naive_backtracking():
         assert (got is None and want is None) or got.positions == want
         outcomes.append(got is not None)
     assert outcomes[:3] == [False, False, True] and all(outcomes[3:])
+
+
+def _rebuilt_eq_masks(word, p, windows):
+    """F and B of match_with_equalities from scratch, by a literal OR over
+    every length of each window."""
+    at = {a: sum(1 << i for i, s in enumerate(word.symbols, start=1) if s == a) for a in p}
+    F, B = [0, at[p[0]]], [at[p[-1]]]
+    for (lo, hi), a in zip(windows, p[1:]):
+        F.append(at[a] & _literal_or_spread(F[-1] << (lo + 1), hi - lo))
+    for (lo, hi), a in zip(reversed(windows), reversed(p[:-1])):
+        B.insert(0, at[a] & (_literal_or_spread(B[0], hi - lo) >> (hi + 1)))
+    return F, [0] + B
+
+
+def _full_rebuild_nodes(word, gs, eq):
+    """The windows of every node, in visit order, of the equality search
+    run with every mask rebuilt and every open class re-tested at each
+    node."""
+    p = gs.pattern.symbols
+    base = [constraint_window(c, len(word)) for c in gs.constraints]
+    classes = [cl for cl in eq.classes(len(p) - 1) if len(cl) >= 2]
+
+    def lengths(cl, windows, F, B):
+        lo = max(windows[g - 1][0] for g in cl)
+        hi = min(windows[g - 1][1] for g in cl)
+        return [ell for ell in range(lo, hi + 1) if all((F[g] << (ell + 1)) & B[g + 1] for g in cl)]
+
+    nodes, stack = [], [()]
+    while stack:
+        fixed = stack.pop()
+        windows = list(base)
+        for cl, ell in zip(classes, fixed):
+            for g in cl:
+                windows[g - 1] = (ell, ell)
+        nodes.append(windows)
+        F, B = _rebuilt_eq_masks(word, p, windows)
+        if F[-1] and len(fixed) == len(classes):
+            break
+        d = len(fixed)
+        if F[-1] and all(lengths(cl, windows, F, B) for cl in classes[d + 1 :]):
+            stack += [fixed + (ell,) for ell in reversed(lengths(classes[d], windows, F, B))]
+    return nodes
+
+
+def test_equality_search_across_interleaved_classes(monkeypatch):
+    # two or three classes whose gaps interleave, as in (1, 4), (2, 5), so
+    # fixing one class changes masks that another class's test reads
+    update = matchers._eq_update
+
+    def checked(posmask, p, windows, F, B, gaps):
+        # every node's masks equal a rebuild under its windows, and the
+        # gaps reported as changed cover every gap whose masks changed
+        nodes.append(list(windows))
+        old_F, old_B = list(F), list(B)
+        touched = update(posmask, p, windows, F, B, gaps)
+        want_F, want_B = _rebuilt_eq_masks(word, p, windows)
+        if touched is None:
+            assert not want_F[-1]
+            return None
+        assert (F, B) == (want_F, want_B)
+        changed = {g for g in range(1, len(p)) if F[g] != old_F[g] or B[g + 1] != old_B[g + 1]}
+        assert changed | set(gaps) <= touched
+        return touched
+
+    monkeypatch.setattr(matchers, "_eq_update", checked)
+    rng = random.Random("eq-classes")
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        sigma = rng.randint(1, 2)
+        k = rng.randint(5, 7)
+        m = rng.randint(2, min(3, (k - 1) // 2))
+        gaps = sorted(rng.sample(range(1, k), rng.randint(2 * m, k - 1)))
+        classes = [gaps[i::m] for i in range(m)]
+        eq = EqualitySystem.from_pairs((cl[0], g) for cl in classes for g in cl[1:])
+        assert [list(cl) for cl in eq.classes(k - 1) if len(cl) >= 2] == sorted(classes)
+        gc = tuple(
+            ZeroGap() if rng.random() < 0.05 else LengthGap(lo, lo + rng.randint(0, 3))
+            for lo in (rng.randint(0, 1) for _ in range(k - 1))
+        )
+        word = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(k, 16))))
+        gs = GappedSequence(Word(tuple(rng.randint(1, sigma) for _ in range(k))), gc)
+        nodes = []
+        got = match_with_equalities(word, gs, eq)
+        # the same nodes in the same order as the search that rebuilds all
+        assert nodes == _full_rebuild_nodes(word, gs, eq)
+        assert (got is None) == (_brute_match_with_eq(word, gs, eq) is None)
+        assert (got and got.positions) == reference_match_with_equalities(word, gs, eq)
+        outcomes[got is not None] += 1
+        if got is None:
+            continue
+        # canonical: the least class lengths, then the least positions read
+        # from the last one back
+        solutions = [
+            pos for pos in brute_embeddings(word, gs) if eq.satisfied_by(word, Embedding(pos))
+        ]
+        def lengths(pos):
+            return tuple(pos[cl[0]] - pos[cl[0] - 1] - 1 for cl in sorted(classes))
+
+        least = min(map(lengths, solutions))
+        want = min((pos for pos in solutions if lengths(pos) == least), key=lambda pos: pos[::-1])
+        assert got.positions == want
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    inner = getattr(matchers, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(matchers, name, counted)
+    return calls
+
+
+def test_equality_search_work_counts(monkeypatch):
+    # deterministic work counters instead of wall-clock: a node updates only
+    # the masks its class changes and re-tests only the classes whose masks
+    # changed
+    spreads = _count_calls(monkeypatch, "_or_spread")
+    tests = _count_calls(monkeypatch, "_class_lengths")
+    assert match_with_equalities(*sat_to_match_equalities(_full_cnf())) is None
+    # rebuilding every mask at each node took 5148 spreads
+    assert spreads[0] <= 5148 // 3, spreads
+
+    def chain(classes):
+        # pattern 1^k over (12)^k, classes (1, 2), (3, 4), ...: a search
+        # that never backtracks
+        k = 2 * classes + 1
+        gs = GappedSequence(Word((1,) * k), (LengthGap(0, 3),) * (k - 1))
+        eq = EqualitySystem.from_pairs([(2 * i + 1, 2 * i + 2) for i in range(classes)])
+        spreads[0] = tests[0] = 0
+        got = match_with_equalities(Word((1, 2) * k), gs, eq)
+        assert got is not None and got.positions == tuple(range(1, 2 * k, 2))
+        return spreads[0], tests[0]
+
+    (s1, t1), (s2, t2) = chain(100), chain(200)
+    # a full rebuild per node grew both quadratically (spreads 40600 -> 161200)
+    assert s2 <= 2.2 * s1 and t2 <= 2.2 * t1, (s1, s2, t1, t2)
 
 
 def test_equality_matching_runs_match_naive_only_for_the_witness(monkeypatch):
