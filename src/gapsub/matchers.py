@@ -42,17 +42,20 @@ analysis.py spread their frontiers with the same GapStep.
 The empty pattern embeds in every word via the empty embedding.
 
 GapStep.reach_counts is the count-valued twin of reach that all counting
-in multiplicity.py goes through: lane i of its output sums lane j of its
-input over the positions j that reach i.  A count vector is one int of
-fixed-width lanes, lane i (bits i*width to (i+1)*width) holding the count
-at position i, with the width chosen by the caller so that no sum
-overflows a lane.  Zero and length windows add shifted copies of the
-vector by doubling, the sum twin of the or-spread (Baeza-Yates & Gonnet,
-CACM 1992): O(log(hi-lo+2)) shift-adds on an (n+1)*width-bit int.  DFA
-gaps unpack the lanes, take one sweep carrying a count per DFA state,
-O(n states), where under a real window a start's count enters after lo
-symbols and leaves after hi+1, at the DFA states _Traces gives for it
-then, and pack the result.
+in multiplicity.py goes through: it takes a batch of count vectors, and
+lane i of each output sums lane j of its input over the positions j that
+reach i.  A count vector is one int of fixed-width lanes, lane i (bits
+i*width to (i+1)*width) holding the count at position i, with one width
+for the batch, chosen by the caller so that no sum overflows a lane.
+Zero and length windows add shifted copies of each vector by doubling,
+the sum twin of the or-spread (Baeza-Yates & Gonnet, CACM 1992):
+O(log(hi-lo+2)) shift-adds on an (n+1)*width-bit int.  A DFA gap takes
+one sweep for the whole batch: the m vectors are interleaved into one
+int per position, m lanes wide, with C-level array slices, and the sweep
+carries one such int per DFA state, O(n states) big-int additions on
+m*width bits, where under a real window a start's counts enter after lo
+symbols and leave after hi+1, at the DFA states _Traces gives for it
+then; the result is de-interleaved the same way.
 
 match_with_equalities backtracks over the common lengths of gap-length
 equality classes (NP-hard) in one explicit-stack search driven by forward
@@ -71,6 +74,7 @@ match_naive call.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
@@ -159,27 +163,77 @@ def _add_spread(x: int, terms: int, width: int) -> int:
         step <<= 1
 
 
-def _unpack_lanes(x: int, lanes: int, width: int) -> list[int]:
-    """Lanes 0..lanes-1 of x, lane i being bits i*width to (i+1)*width."""
-    size = width // 8
-    raw = x.to_bytes(lanes * size, "little")
-    if width != 64:
-        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    out = array("Q", raw)  # 64-bit lanes: one C-level conversion
+def _to_words(x: int, words: int) -> array:
+    """The low 64*words bits of x as 64-bit words, least significant first."""
+    out = array("Q", x.to_bytes(8 * words, "little"))
     if sys.byteorder == "big":
         out.byteswap()
-    return out.tolist()
+    return out
+
+
+def _from_words(words: array) -> int:
+    """Inverse of _to_words."""
+    if sys.byteorder == "big":
+        words = array("Q", words)
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=4)
+def _low_bits(bits: int) -> int:
+    """(1 << bits) - 1, kept for the few lane counts and widths in use:
+    building it costs as much as a shift-add of the vector it masks."""
+    return (1 << bits) - 1
+
+
+def _unpack_lanes(x: int, lanes: int, width: int) -> list[int]:
+    """Lanes 0..lanes-1 of x, lane i being bits i*width to (i+1)*width."""
+    if width == 64:  # one C-level conversion
+        return _to_words(x, lanes).tolist()
+    size = width // 8
+    raw = x.to_bytes(lanes * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
 
 def _pack_lanes(counts: list[int], width: int) -> int:
     """Inverse of _unpack_lanes: counts[i] in lane i; each count < 2**width."""
-    if width != 64:
-        size = width // 8
-        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
-    out = array("Q", counts)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return int.from_bytes(out.tobytes(), "little")
+    if width == 64:
+        return _from_words(array("Q", counts))
+    size = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+
+
+def _interleave(vecs: list[int], lanes: int, width: int) -> list[int]:
+    """The columns of a batch of lane vectors: column c is one int whose
+    width-bit lane i is lane c of vecs[i], for c in 0..lanes-1."""
+    if len(vecs) == 1:
+        return _unpack_lanes(vecs[0], lanes, width)
+    words = width // 64
+    stride = len(vecs) * words
+    batch = array("Q", bytes(8 * lanes * stride))
+    for i, vec in enumerate(vecs):
+        src = _to_words(vec, lanes * words)
+        for t in range(words):
+            batch[i * words + t :: stride] = src[t::words]
+    return _unpack_lanes(_from_words(batch), lanes, 64 * stride)
+
+
+def _deinterleave(columns: list[int], m: int, width: int) -> list[int]:
+    """Inverse of _interleave for a batch of m vectors."""
+    if m == 1:
+        return [_pack_lanes(columns, width)]
+    words = width // 64
+    stride = m * words
+    batch = _to_words(_pack_lanes(columns, 64 * stride), len(columns) * stride)
+    if words == 1:
+        return [_from_words(batch[i::m]) for i in range(m)]
+    out = []
+    for i in range(m):
+        vec = array("Q", bytes(8 * len(columns) * words))
+        for t in range(words):
+            vec[t::words] = batch[i * words + t :: stride]
+        out.append(_from_words(vec))
+    return out
 
 
 def _iter_bits(x: int) -> Iterable[int]:
@@ -364,9 +418,10 @@ class GapStep:
 
     reach(mask) maps a mask of positions j to the mask of positions i in
     1..n such that the gap w[j+1..i-1] satisfies the constraint for some
-    j in mask; pred(mask, i) is the least such j.  reach_counts(vec, width)
-    is its count-valued twin on an int of width-bit lanes, lane i from bit
-    i*width up: lane i of its output is the sum of lanes j over those j.
+    j in mask; pred(mask, i) is the least such j.  reach_counts(vecs, width)
+    is its count-valued twin on a batch of ints of width-bit lanes, lane i
+    from bit i*width up: lane i of each output is the sum of its vector's
+    lanes j over those j.
     Built once per (word, normalized constraint) and reused for every
     mask.  DFA state sets are ints with bit q for state q.
 
@@ -589,22 +644,27 @@ class GapStep:
             entries = nxt
         return _from_flags(out)
 
-    def reach_counts(self, vec: int, width: int) -> int:
-        """Lane i of the result, for i in 1..n, is the sum of the lanes j < i
-        of vec whose gap w[j+1..i-1] satisfies the constraint; vec holds
-        lanes 0..n, the result lanes 1..n, and no sum may reach 2**width."""
+    def reach_counts(self, vecs: list[int], width: int) -> list[int]:
+        """The spread of each vector of a batch: lane i of a result, for i
+        in 1..n, is the sum of the lanes j < i of its vector whose gap
+        w[j+1..i-1] satisfies the constraint; a vector holds lanes 0..n,
+        its result lanes 1..n, and no sum may reach 2**width."""
         n, lo = self.n, self.lo
         if self.dfa is not None:
-            return _pack_lanes(self._count_sweep(_unpack_lanes(vec, n + 1, width)), width)
+            columns = self._count_sweep(_interleave(vecs, n + 1, width))
+            return _deinterleave(columns, len(vecs), width)
         if lo >= n:  # lo is not clamped to n: shifting by it could exhaust memory
-            return 0
+            return [0] * len(vecs)
         # lane j moves to lanes j+lo+1 .. j+hi+1; lanes past n are cut
-        spread = _add_spread(vec << (lo + 1) * width, self.hi - lo + 1, width)
-        return spread & ((1 << (n + 1) * width) - 1)
+        shift, terms, lanes = (lo + 1) * width, self.hi - lo + 1, _low_bits((n + 1) * width)
+        return [_add_spread(vec << shift, terms, width) & lanes for vec in vecs]
 
     def _count_sweep(self, vec: list[int]) -> list[int]:
         """DFA gaps: one left-to-right sweep carrying a count per DFA state.
 
+        vec[j] is the column of start j: the counts of a whole batch, one
+        lane per vector, which no sum below carries out of or borrows
+        into, since each of its lanes stays within its vector's lane sum.
         cnt[q] sums vec[j] over the open starts j whose gap so far is at
         state q.  A start enters after lo symbols; under a real window it
         leaves again after hi+1 symbols.  Both moments need the start's

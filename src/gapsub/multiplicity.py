@@ -10,9 +10,13 @@ no gap walk of its own.  A path-count vector is one int of fixed-width
 lanes, one lane per word position, each vector with lanes wide enough
 for its own counts and every sum its spread forms, so a spread over a
 length window is a few shift-adds and a filter is one AND.
-count_embeddings steps it along the pattern, parikh_k searches its
-prefixes depth-first in lexicographic order, and path_equivalent spreads
-each vector once for all symbols.
+The spread takes a batch of vectors of one layer at once: for a DFA gap
+the batch is one sweep of the word whatever its size, so callers hand it
+whole layers.  count_embeddings steps one vector along the pattern,
+parikh_k searches its prefixes depth-first, in lexicographic order, over
+chunks of consecutive prefixes of one length, one batch per chunk, and
+path_equivalent spreads each layer's independent vectors as one batch
+per automaton, for all symbols at once.
 Equivalence of two counting automata is decided exactly, without
 enumerating strings, by a basis computation over the reachable
 path-count vectors (Tzeng, SIAM J. Comput. 1992), one layer of prefixes
@@ -40,6 +44,11 @@ from .core import (
     normalize_constraints,
 )
 from .matchers import GapStep, _iter_bits, _pack_lanes, _unpack_lanes
+
+# Bits of count vectors one parikh_k chunk may hold (128 KiB), so the
+# search's live vectors, at most k * sigma chunks, stay within k * sigma
+# times that; a DFA spread of n = 200 gains little past 32 vectors a batch.
+CHUNK_BITS = 1 << 20
 
 
 def count_embeddings(w: Word, gs: GappedSequence) -> int:
@@ -70,16 +79,27 @@ def parikh_k(
     if infeasible:
         return out
     nfa = CountingNfa(w, gc, alphabet.size)
-    # the stack pops prefixes in lexicographic order, each with its
-    # path-count vector; a prefix with no path left is never pushed
-    stack = [((), nfa.start())]
+    lanes = len(w) + 1
+    # the stack pops chunks in lexicographic order: a chunk is up to
+    # _chunk_size consecutive prefixes of one length, each with its
+    # path-count vector, spread as one batch; a prefix with no path left
+    # is never pushed
+    stack = [[((), nfa.start())]]
     while stack:
-        prefix, vec = stack.pop()
-        if vec[0] == nfa.k:
-            out[Word(prefix)] = nfa.accepted(vec)
+        chunk = stack.pop()
+        if chunk[0][1][0] == nfa.k:
+            for prefix, vec in chunk:
+                out[Word(prefix)] = nfa.accepted(vec)
             continue
-        nexts = nfa.step_all(vec)
-        stack.extend((prefix + (a,), nexts[a]) for a in reversed(nexts))
+        nexts = nfa.step_all([vec for _, vec in chunk])
+        children = [
+            (prefix + (a,), nxt)
+            for (prefix, _), below in zip(chunk, nexts)
+            for a, nxt in below.items()
+        ]
+        if children:
+            size = _chunk_size(lanes, max(_lane_width(vec[2]) for _, vec in children))
+            stack.extend(children[i : i + size] for i in reversed(range(0, len(children), size)))
     return out
 
 
@@ -104,9 +124,11 @@ class CountingNfa:
     and, when the product needs wider lanes than the vector has, first
     takes the exact lane sum in place of the bound and repacks the lanes to
     fit the product: the lanes follow the counts, and no carry crosses a
-    lane.  step moves a vector on by one symbol, step_all by every symbol
-    at the cost of one spread, and both give None once no path is left;
-    keeping the positions of a symbol is one AND with its lane mask.
+    lane.  step moves a vector on by one symbol, and gives None once no
+    path is left; step_all moves a batch of vectors of one layer on by
+    every symbol at the cost of one spread of the batch, a single call of
+    the count kernel at the batch's widest lane width.  Keeping the
+    positions of a symbol is one AND with its lane mask.
     transitions lists the explicit transition relation, built on first
     access.
     """
@@ -195,22 +217,37 @@ class CountingNfa:
         """The path counts of vec, indexed by position 0..n."""
         return _unpack_lanes(vec[1], len(self.word) + 1, _lane_width(vec[2]))
 
-    def _spread(self, vec: tuple[int, int, int]) -> tuple[int, int, int]:
-        """The counts across the gap after layer j (the prefix before layer
-        1 is free), their lane width and a bound on their lane sum."""
-        j, counts, bound = vec
-        width = _lane_width(bound)
-        grown = bound * self._reach[j]
-        if grown >> width:
-            # the bound asks for wider lanes: take the exact sum in its place
-            grown = self._sum(counts, width) * self._reach[j]
-            fit = _lane_width(grown)
-            if fit != width:
-                counts = _pack_lanes(_unpack_lanes(counts, len(self.word) + 1, width), fit)
-                width = fit
+    def _spread(self, vecs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        """For a batch of vectors of one layer j, the counts of each across
+        the gap after layer j (the prefix before layer 1 is free), their lane
+        width and a bound on their lane sum: one kernel call for the batch,
+        at its widest lane width, each result at its own width."""
+        n, j = len(self.word), vecs[0][0]
+        reach = self._reach[j]
+        batch, widths, bounds = [], [], []
+        for _, counts, bound in vecs:
+            width = _lane_width(bound)
+            grown = bound * reach
+            if grown >> width:
+                # the bound asks for wider lanes: take the exact sum in its place
+                grown = self._sum(counts, width) * reach
+                fit = _lane_width(grown)
+                if fit != width:
+                    counts = _repack(counts, n, width, fit)
+                    width = fit
+            batch.append(counts)
+            widths.append(width)
+            bounds.append(grown)
         if j == 0:
-            return (counts * self._ones, width, grown)
-        return (self.steps[j - 1].reach_counts(counts, width), width, grown)
+            return [(counts * self._ones, w, b) for counts, w, b in zip(batch, widths, bounds)]
+        top = max(widths)
+        mixed = top != min(widths)
+        if mixed:
+            batch = [_repack(counts, n, width, top) for counts, width in zip(batch, widths)]
+        spreads = self.steps[j - 1].reach_counts(batch, top)
+        if mixed:
+            spreads = [_repack(spread, n, top, width) for spread, width in zip(spreads, widths)]
+        return list(zip(spreads, widths, bounds))
 
     def step(
         self, vec: Optional[tuple[int, int, int]], a: int
@@ -219,23 +256,28 @@ class CountingNfa:
         state (which never accepts) is reached."""
         if vec is None or vec[0] == self.k:
             return None
-        spread, width, bound = self._spread(vec)
+        [(spread, width, bound)] = self._spread([vec])
         counts = spread & self._lanes_of(width)[0].get(a, 0)
         return (vec[0] + 1, counts, bound) if counts else None
 
     def step_all(
-        self, vec: Optional[tuple[int, int, int]]
-    ) -> dict[int, tuple[int, int, int]]:
-        """step(vec, a) for every symbol a it leaves a path for, in
-        increasing order of a, from one spread of vec."""
-        if vec is None or vec[0] == self.k:
-            return {}
-        spread, width, bound = self._spread(vec)
-        out = {}
-        for a, mask in self._lanes_of(width)[0].items():
-            counts = spread & mask
-            if counts:
-                out[a] = (vec[0] + 1, counts, bound)
+        self, vecs: list[Optional[tuple[int, int, int]]]
+    ) -> list[dict[int, tuple[int, int, int]]]:
+        """For each vector of a batch of one layer, step(vec, a) for every
+        symbol a it leaves a path for, in increasing order of a, from one
+        spread of the batch; {} for None and for vectors of the last layer."""
+        live = [vec for vec in vecs if vec is not None and vec[0] < self.k]
+        spreads = iter(self._spread(live) if live else ())
+        out = []
+        for vec in vecs:
+            nexts = {}
+            if vec is not None and vec[0] < self.k:
+                spread, width, bound = next(spreads)
+                for a, mask in self._lanes_of(width)[0].items():
+                    counts = spread & mask
+                    if counts:
+                        nexts[a] = (vec[0] + 1, counts, bound)
+            out.append(nexts)
         return out
 
     def accepted(self, vec: Optional[tuple[int, int, int]]) -> int:
@@ -248,6 +290,17 @@ class CountingNfa:
 def _lane_width(bound: int) -> int:
     """The least multiple of 64 bits that holds bound."""
     return 64 * max(1, -(-bound.bit_length() // 64))
+
+
+def _chunk_size(lanes: int, width: int) -> int:
+    """Prefixes per parikh_k chunk: as many vectors of lanes lanes, width
+    bits each, as fill CHUNK_BITS, and at least one."""
+    return max(1, CHUNK_BITS // (lanes * width))
+
+
+def _repack(counts: int, n: int, width: int, fit: int) -> int:
+    """The lanes 0..n of counts, width bits each, repacked fit bits wide."""
+    return counts if fit == width else _pack_lanes(_unpack_lanes(counts, n + 1, width), fit)
 
 
 def build_counting_nfa(w: Word, gc) -> CountingNfa:
@@ -303,7 +356,7 @@ def path_equivalent(
     layer = [((), n1.start(), n2.start())]
     for depth in range(last + 1):
         basis: dict[int, dict[int, int]] = {}
-        below = []
+        independent = []
         for word, v1, v2 in layer:
             if n1.accepted(v1) != n2.accepted(v2):
                 return (False, Word(word))
@@ -313,10 +366,15 @@ def path_equivalent(
             if v2:
                 flat.update(enumerate(n2.counts(v2), offset2))
             if _insert_basis(flat, basis):
-                s1, s2 = n1.step_all(v1), n2.step_all(v2)
-                for a in sorted(s1.keys() | s2.keys()):
-                    below.append((word + (a,), s1.get(a), s2.get(a)))
-        layer = below
+                independent.append((word, v1, v2))
+        # each automaton spreads the layer's independent vectors as one batch
+        s1 = n1.step_all([v1 for _, v1, _ in independent])
+        s2 = n2.step_all([v2 for _, _, v2 in independent])
+        layer = [
+            (word + (a,), b1.get(a), b2.get(a))
+            for (word, _, _), b1, b2 in zip(independent, s1, s2)
+            for a in sorted(b1.keys() | b2.keys())
+        ]
     return (True, None)
 
 

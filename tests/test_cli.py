@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -8,17 +9,21 @@ from gapsub import (
     INF,
     Alphabet,
     Dfa,
+    GappedSequence,
     InputError,
     LengthGap,
     RegLenGap,
     RegularGap,
     Word,
     ZeroGap,
+    count_embeddings,
+    equivalence_with_multiplicities,
     match_with_equalities,
     sigma_star_dfa,
     solve_ov_bruteforce,
     solve_sat_bruteforce,
 )
+from gapsub import cli
 from gapsub.cli import (
     bench_match,
     parse_constraints_text,
@@ -39,6 +44,7 @@ from gapsub.cli import (
     load_word_value,
 )
 from gapsub.reductions import random_cnf, random_graph, random_ov, sat_to_match_equalities
+from helpers import permutation_dfa, random_dfa
 
 
 def test_word_file_round_trip_char():
@@ -331,6 +337,83 @@ def test_cli_equ_mult(tmp_path, capsys):
     code = run_cli(["equ-mult", "-w", "abba", "-W", "abba", "-c", c])
     out = capsys.readouterr().out
     assert code == 0 and "equivalent: yes" in out
+
+
+def test_cli_count_and_equ_mult_agree_with_the_library(tmp_path, capsys):
+    # 20 seeded instances in one process, each gap a DFA gap (vacuous or
+    # windowed, group or not), a length gap or a zero gap
+    rng = random.Random(18)
+    glyphs = "abc"
+    for trial in range(20):
+        build = permutation_dfa if trial % 2 else random_dfa
+        dfa = build(rng, rng.randint(1, 3), 3)
+        (tmp_path / f"g{trial}.dfa").write_text(serialize_dfa_text(dfa))
+        k = rng.randint(1, 4)
+        gc, lines = [], []
+        for _ in range(k - 1):
+            lo = rng.randint(0, 3)
+            hi = lo + rng.randint(0, 4)
+            gap, line = rng.choice([
+                (RegularGap(dfa), f"R g{trial}.dfa"),
+                (RegLenGap(lo, hi, dfa), f"RL {lo} {hi} g{trial}.dfa"),
+                (LengthGap(lo, hi), f"L {lo} {hi}"),
+                (ZeroGap(), "Z"),
+            ])
+            gc.append(gap)
+            lines.append(line)
+        c = _write_constraints(tmp_path, f"c{trial}", f"k {k}\n" + "".join(x + "\n" for x in lines))
+        text, text2, pattern = (
+            "".join(rng.choice(glyphs) for _ in range(size))
+            for size in (rng.randint(0, 14), rng.randint(0, 14), k)
+        )
+        word, word2, p = (Word(tuple(glyphs.index(ch) + 1 for ch in x)) for x in (text, text2, pattern))
+        total = count_embeddings(word, GappedSequence(p, tuple(gc)))
+        code = run_cli(["count", "-w", text, "-p", pattern, "-c", c, "--glyphs", glyphs])
+        assert (code, capsys.readouterr().out) == (0 if total else 1, f"{total}\n"), trial
+        ok, wit = equivalence_with_multiplicities(word, word2, gc)
+        want = f"equivalent: {'yes' if ok else 'no'}\n"
+        if wit is not None:
+            want += "witness: " + "".join(glyphs[a - 1] for a in wit.symbols) + "\n"
+        code = run_cli(["equ-mult", "-w", text, "-W", text2, "-c", c, "--glyphs", glyphs])
+        assert (code, capsys.readouterr().out) == (0 if ok else 1, want), trial
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # run_cli reuses one parser for every call, subcommands, usage errors
+    # and --help alike, with a fresh Namespace each time
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        c = _write_constraints(tmp_path, "c", "k 2\nL 0 inf\n")
+        runs = [
+            (["match", "-w", "abc", "-p", "ac", "-c", c, "--witness"], 0, "match: yes\nwitness: 1 3\n"),
+            (["match", "-w", "abc", "-p", "ac", "-c", c], 0, "match: yes\n"),
+            (["count", "-w", "bbaa", "-p", "ba", "-c", c], 0, "4\n"),
+            (["equ-mult", "-w", "abba", "-W", "abab", "-c", c], 1, "equivalent: no\nwitness: ab\n"),
+            (["match", "-w", "ab"], 2, ""),
+            (["frobnicate"], 2, ""),
+            (["classic-con", "-w", "ab", "-W", "ab", "-k", "x"], 2, ""),
+            (["--help"], 0, build().format_help()),
+            (["count", "--help"], 0, None),
+            (["count", "-w", "bbaa", "-p", "ba", "-c", c], 0, "4\n"),
+        ]
+        for argv, code, out in runs:
+            assert run_cli(argv) == code, argv
+            got = capsys.readouterr()
+            if out is not None:
+                assert got.out == out, argv
+            if code == 2:
+                assert got.err.startswith("usage: gapsub"), argv
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_cli_classic_con(capsys):

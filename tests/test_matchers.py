@@ -313,7 +313,8 @@ def test_reach_counts_matches_quadratic_reference(data):
     for case in [vec, ends] + singles:
         # no lane sum exceeds sum(case), so that many bits hold every lane
         width = 64 if sum(case) < 2**64 else 128
-        got = _unpack_lanes(step.reach_counts(_pack_lanes(case, width), width), n + 1, width)
+        [got] = step.reach_counts([_pack_lanes(case, width)], width)
+        got = _unpack_lanes(got, n + 1, width)
         want = [0] + [
             sum(case[j] for j in range(i) if constraint_allows(c, syms[j : i - 1]))
             for i in range(1, n + 1)
@@ -321,6 +322,58 @@ def test_reach_counts_matches_quadratic_reference(data):
         assert got == want
         support = sum(1 << j for j, x in enumerate(case) if x)
         assert sum(1 << i for i, x in enumerate(got) if x) == step.reach(support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reach_counts_batch_equals_each_vector_alone(data):
+    # one kernel call on a batch gives each vector's spread alone, whatever
+    # the gap kind and the side of the bit-parallel cost rule it falls on,
+    # for batches of one, batches holding all-zero vectors and batches that
+    # mix vectors sized for 64- and for 128-bit lanes
+    kind = data.draw(st.sampled_from(["zero", "length", "regular", "bit", "window"]))
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    n = rng.randint(0, 16)
+    sigma = rng.randint(1, 3)
+    syms = tuple(rng.randint(1, sigma) for _ in range(n))
+    build = permutation_dfa if rng.random() < 0.5 else random_dfa
+    dfa = build(rng, rng.randint(1, 4), sigma)
+    lo = rng.randint(1, n + 1)  # lo > 0: a real window for the DFA kinds
+    hi = lo + rng.randint(0, n)
+    c = {
+        "zero": ZeroGap(),
+        "length": LengthGap(lo - 1, INF if rng.random() < 0.2 else hi),
+        "regular": RegularGap(dfa),
+        "bit": RegLenGap(lo, hi, dfa),
+        "window": RegLenGap(lo, hi, dfa),
+    }[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "window":  # every cost passes the bound: the trace sweep
+            mp.setattr(matchers, "_BIT_PARALLEL_MAX_COST", -1)
+        step = GapStep(syms, c)
+    if kind in ("bit", "window"):
+        assert step.bit_parallel == (kind == "bit")
+    m = data.draw(st.integers(1, 5))
+    wide = [rng.random() < 0.3 for _ in range(m)]
+    vecs = []
+    for big in wide:
+        if rng.random() < 0.2:
+            vecs.append([0] * (n + 1))
+            continue
+        # each vector's lane sum, the most any of its spread's sums can be,
+        # stays below 2**64 or 2**128
+        top = (2**127 if big else 2**63) // (n + 1)
+        vecs.append([rng.choice((0, 1, rng.randint(0, top), top)) for _ in range(n + 1)])
+    width = 128 if any(wide) else 64
+    got = step.reach_counts([_pack_lanes(v, width) for v in vecs], width)
+    assert len(got) == m
+    for v, out, big in zip(vecs, got, wide):
+        alone = 128 if big else 64
+        [want] = step.reach_counts([_pack_lanes(v, alone)], alone)
+        lanes = _unpack_lanes(out, n + 1, width)
+        assert lanes == _unpack_lanes(want, n + 1, alone)
+        support = sum(1 << j for j, x in enumerate(v) if x)
+        assert sum(1 << i for i, x in enumerate(lanes) if x) == step.reach(support)
 
 
 def _literal_or_spread(x, span):

@@ -11,6 +11,7 @@ from gapsub import (
     BudgetError,
     GappedSequence,
     LengthGap,
+    RegLenGap,
     RegularGap,
     Word,
     ZeroGap,
@@ -24,7 +25,13 @@ from gapsub import (
 )
 from gapsub import multiplicity
 from gapsub.matchers import GapStep
-from helpers import brute_embeddings, brute_parikh, random_constraint
+from helpers import (
+    brute_embeddings,
+    brute_parikh,
+    permutation_dfa,
+    random_constraint,
+    random_dfa,
+)
 
 AB = Alphabet.from_glyphs("ab")
 
@@ -65,19 +72,51 @@ def test_count_edge_cases():
 def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
     # the word against itself, k = 3, sigma = 2: two independent path-count
     # vectors below the last layer at depth 1 and three at depth 2, in each
-    # of the two automata, take one gap spread apiece; a spread per symbol
-    # would make 20
+    # of the two automata, take one gap spread apiece, in one kernel call
+    # per layer and automaton; a spread per symbol would make 20
     calls = []
     reach_counts = GapStep.reach_counts
 
-    def counted(self, vec, width):
-        calls.append((self, vec))
-        return reach_counts(self, vec, width)
+    def counted(self, vecs, width):
+        calls.append((self, vecs))
+        return reach_counts(self, vecs, width)
 
     monkeypatch.setattr(GapStep, "reach_counts", counted)
     word = w("abbaba")
     assert equivalence_with_multiplicities(word, word, (LengthGap(0, 2),) * 2) == (True, None)
-    assert len(calls) == 10
+    assert sum(len(vecs) for _, vecs in calls) == 10
+    assert len(calls) == 4
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = GapStep._count_sweep
+
+    def counted(self, vec):
+        calls.append(self)
+        return sweep(self, vec)
+
+    monkeypatch.setattr(GapStep, "_count_sweep", counted)
+    return calls
+
+
+def test_dfa_count_sweeps_once_per_layer(monkeypatch):
+    # parikh_k spreads each depth's prefixes as one batch, and multiplicity
+    # equivalence each layer's independent vectors as one batch per
+    # automaton: one DFA sweep per gap and layer (a sweep per vector made
+    # 30 and 28 here)
+    rng = random.Random(7)
+    dfa = random_dfa(rng, 3, 2)
+    word = Word(tuple(rng.randint(1, 2) for _ in range(60)))
+    gc = (RegularGap(dfa),) * 4
+    calls = _count_sweeps(monkeypatch)
+    got = parikh_k(word, gc, Alphabet(2))
+    assert len(got) == 32 and len(calls) == 4
+    assert len(set(map(id, calls))) == 4  # one per gap
+    calls.clear()
+    # three gaps, each spreading a layer below the last in both automata
+    assert equivalence_with_multiplicities(word, word, gc[:3]) == (True, None)
+    assert len(calls) == 6
 
 
 def test_basis_holds_one_layer_and_never_the_last(monkeypatch):
@@ -358,3 +397,40 @@ def test_counting_layers_agree(data):
     assert ok == (not differ)
     # the witness is the least string whose counts differ
     assert (wit is None) if ok else (wit.symbols == differ[0])
+    # a layer's vectors stepped as one batch, a None among them, step as
+    # each vector alone
+    nfa = build_counting_nfa(wa, gc)
+    layer = [nfa.start()]
+    while layer:
+        batch = nfa.step_all(layer + [None])
+        assert batch == [nfa.step_all([vec])[0] for vec in layer] + [{}]
+        layer = [vec for nexts in batch for vec in nexts.values()]
+
+
+def _any_gap(rng, sigma):
+    build = permutation_dfa if rng.random() < 0.5 else random_dfa
+    dfa = build(rng, rng.randint(1, 3), sigma)
+    lo = rng.randint(0, 4)
+    hi = INF if rng.random() < 0.2 else lo + rng.randint(0, 5)
+    return rng.choice(
+        [ZeroGap(), LengthGap(lo, hi), RegularGap(dfa), RegLenGap(lo, hi, dfa)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunked_parikh_keeps_its_order(data):
+    # chunks of 1, 2 or 3 prefixes give the same dict, in the same order,
+    # as the derived chunk size and the brute-force reference
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    sigma = rng.randint(1, 3)
+    k = rng.randint(1, 5)
+    word = Word(tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 8))))
+    gc = tuple(_any_gap(rng, sigma) for _ in range(k - 1))
+    want = list(parikh_k(word, gc, Alphabet(sigma)).items())
+    assert dict((x.symbols, c) for x, c in want) == brute_parikh(word, gc, sigma, k)
+    assert [x.symbols for x, _ in want] == sorted(x.symbols for x, _ in want)
+    for size in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiplicity, "_chunk_size", lambda lanes, width: size)
+            assert list(parikh_k(word, gc, Alphabet(sigma)).items()) == want
