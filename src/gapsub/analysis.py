@@ -6,9 +6,11 @@ universality (Sub(w) = Sigma^k), containment (Sub(w) included in
 Sub(w2)) and equivalence, by lexicographic depth-first enumeration over
 candidate strings.  The state per candidate prefix is a frontier, the
 bitmask of word positions where the prefix's last symbol can sit; an
-empty frontier kills the whole subtree at once.  All three problems are
-hard in general, so enumeration is guarded by an explicit budget on
-sigma**k.
+empty frontier kills the whole subtree at once.  A frontier crosses a gap
+through the word's GapStep for that gap, one per distinct constraint
+(matchers.gap_steps), so repeated gaps share one step and its memos.
+All three problems are hard in general, so enumeration is guarded by an
+explicit budget on sigma**k.
 
 One search serves all three: universality is containment of Sigma^k,
 a left side whose frontier never empties, in Sub(w).  The subtree under
@@ -48,7 +50,7 @@ from .core import (
     check_budget,
     normalize_constraints,
 )
-from .matchers import GapStep, position_masks
+from .matchers import gap_steps, position_masks
 
 # Frontier bits the memo of one search may hold (8 MiB of masks); past
 # this the search inserts nothing more and runs on with what it has.
@@ -64,12 +66,13 @@ class AnalysisReport:
 
 
 class _WordFrontier:
-    """Frontier arithmetic for one word under normalized constraints."""
+    """Frontier arithmetic for one word under normalized constraints: one
+    GapStep per distinct constraint, shared by the gaps that have it."""
 
     def __init__(self, syms: tuple[int, ...], gc: NormalizedConstraints, sigma: int):
         masks = position_masks(syms, range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
-        self.steps = [GapStep(syms, c, masks) for c in gc.constraints]
+        self.steps = gap_steps(syms, gc.constraints, masks)
         self.dead = gc.infeasible
         self.spreads = 0
 

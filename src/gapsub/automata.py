@@ -13,17 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .core import Alphabet, Dfa, InputError, UsageError, Word
-
-
-def dfa_validate(d: Dfa, alphabet: Alphabet) -> Optional[str]:
-    """None when d reads exactly the alphabet's symbols, else the problem.
-
-    The rest of its structure was checked when d was built.
-    """
-    if d.num_symbols != alphabet.size:
-        return f"the DFA reads {d.num_symbols} symbols, the alphabet has {alphabet.size}"
-    return None
+from .core import Dfa, InputError, UsageError, Word
 
 
 def sigma_star_dfa(sigma: int) -> Dfa:

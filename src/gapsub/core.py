@@ -297,16 +297,6 @@ def constraint_allows(c: GapConstraint, gap: Iterable[int]) -> bool:
     raise InputError(f"not a gap constraint: {c!r}")
 
 
-def _constraint_size(c: GapConstraint) -> int:
-    if isinstance(c, ZeroGap):
-        return 1
-    if isinstance(c, LengthGap):
-        return 3
-    if isinstance(c, RegularGap):
-        return 1 + c.dfa.num_states * c.dfa.num_symbols
-    return 3 + c.dfa.num_states * c.dfa.num_symbols
-
-
 @dataclass(frozen=True)
 class GappedSequence:
     """A pattern together with its k-1 gap constraints."""
@@ -340,11 +330,6 @@ class GappedSequence:
         """
         dfas = [constraint_dfa(c) for c in self.constraints if not is_zero_gap(c)]
         return sum(1 if dfa is None else dfa.num_states for dfa in dfas)
-
-    @property
-    def size(self) -> int:
-        """Total representation size: pattern length plus constraint encodings."""
-        return len(self.pattern) + sum(_constraint_size(c) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -412,9 +397,10 @@ def normalize_constraints(
     Every entry point calls this (or normalize), so it is where a DFA that
     does not cover the symbols 1..sigma (see check_dfa_alphabet) and an
     object that is not a gap constraint raise InputError.  Upper bounds
-    become min(hi, n); a (0,0) window becomes ZeroGap; the infeasible flag
-    is set when some lower bound exceeds n (that constraint can never be
-    met inside a word of length n).
+    become min(hi, n) and lower bounds min(lo, n + 1), so no gap engine
+    meets a bound past n + 1; a (0,0) window becomes ZeroGap; the
+    infeasible flag is set when some lower bound exceeds n (that constraint
+    can never be met inside a word of length n).
     """
     constraints = tuple(constraints)
     check_dfa_alphabet(constraints, sigma)
@@ -424,6 +410,7 @@ def normalize_constraints(
         if isinstance(c, (LengthGap, RegLenGap)):
             lo, hi = constraint_window(c, n)
             infeasible = infeasible or lo > n
+            lo = min(lo, n + 1)
             hi = max(hi, lo)
             if isinstance(c, RegLenGap):
                 out.append(RegLenGap(lo, hi, c.dfa))

@@ -10,8 +10,9 @@ gap satisfied, follows from D[t-1] through one gap step:
 
     D[t] = (step.reach(D[t-1]) << (len(block t) - 1)) & ends(block t)
 
-A GapStep is built once per (word, constraint) and picks its case from
-the constraint alone:
+gap_steps builds one GapStep per distinct constraint of a word (one
+window and one DFA object), which every gap with that constraint shares
+with its memos and tables; a step picks its case from the constraint alone:
 
 - zero or length window   shift plus a doubling or-spread, O(1) once the
                           span covers the mask from its lowest set bit to
@@ -422,8 +423,9 @@ class GapStep:
     is its count-valued twin on a batch of ints of width-bit lanes, lane i
     from bit i*width up: lane i of each output is the sum of its vector's
     lanes j over those j.
-    Built once per (word, normalized constraint) and reused for every
-    mask.  DFA state sets are ints with bit q for state q.
+    gap_steps builds one per distinct normalized constraint of a word, and
+    every gap with that constraint reuses it for every mask.  DFA state
+    sets are ints with bit q for state q.
 
     A DFA gap with a real window reaches through one of two engines, fixed
     at construction by one cost rule: the bit-parallel step (_bit_sweep)
@@ -653,8 +655,6 @@ class GapStep:
         if self.dfa is not None:
             columns = self._count_sweep(_interleave(vecs, n + 1, width))
             return _deinterleave(columns, len(vecs), width)
-        if lo >= n:  # lo is not clamped to n: shifting by it could exhaust memory
-            return [0] * len(vecs)
         # lane j moves to lanes j+lo+1 .. j+hi+1; lanes past n are cut
         shift, terms, lanes = (lo + 1) * width, self.hi - lo + 1, _low_bits((n + 1) * width)
         return [_add_spread(vec << shift, terms, width) & lanes for vec in vecs]
@@ -731,11 +731,34 @@ class GapStep:
         return best
 
 
+def gap_steps(
+    syms: tuple[int, ...], constraints: Iterable, posmask: Optional[dict[int, int]] = None
+) -> list[GapStep]:
+    """One GapStep per constraint of the word syms, built once per distinct
+    constraint: gaps with the same window and the same DFA object share one
+    step, with its memos and tables.  The DFA is keyed by identity, since
+    hashing a Dfa hashes its whole table; normalized constraints are fresh
+    objects per gap, so they are keyed by what a step reads of them.  The
+    steps share posmask (see GapStep), one dict when none is given."""
+    n = len(syms)
+    posmask = {} if posmask is None else posmask
+    built: dict[tuple[tuple[int, int], int], GapStep] = {}
+    steps = []
+    for c in constraints:
+        key = (constraint_window(c, n), id(constraint_dfa(c)))
+        step = built.get(key)
+        if step is None:
+            step = built[key] = GapStep(syms, c, posmask)
+        steps.append(step)
+    return steps
+
+
 def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """Embedding of gs in w with the canonical witness, or None.
 
     Position-mask DP over the pattern's blocks with one GapStep per
-    non-zero constraint; see the module docstring for the witness contract.
+    distinct non-zero constraint; see the module docstring for the witness
+    contract.
     """
     if len(gs.pattern) == 0:
         return Embedding(())
@@ -753,12 +776,10 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
             e &= posmask[block[idx]] << (m - 1 - idx)
         ends.append(e)
     D = [ends[0]]
-    steps = []
-    for t, c in enumerate(joints):
+    steps = gap_steps(syms, joints, posmask)
+    for t, step in enumerate(steps):
         if not D[t]:
             return None
-        step = GapStep(syms, c, posmask)
-        steps.append(step)
         D.append((step.reach(D[t]) << (len(blocks[t + 1]) - 1)) & ends[t + 1])
     if not D[-1]:
         return None

@@ -43,7 +43,7 @@ from .core import (
     normalize,
     normalize_constraints,
 )
-from .matchers import GapStep, _iter_bits, _pack_lanes, _unpack_lanes
+from .matchers import _iter_bits, _pack_lanes, _unpack_lanes, gap_steps
 
 # Bits of count vectors one parikh_k chunk may hold (128 KiB), so the
 # search's live vectors, at most k * sigma chunks, stay within k * sigma
@@ -112,8 +112,9 @@ class CountingNfa:
     transition; transitions out of (0, 0) skip the gap check because the
     prefix before the first matched position is free.
 
-    The automaton is held as the word, its normalized constraints and one
-    GapStep per constraint.  A count vector (j, V, bound) gives the number
+    The automaton is held as the word and one GapStep per gap, built once
+    per distinct normalized constraint and shared by the gaps that have it
+    (gap_steps).  A count vector (j, V, bound) gives the number
     of paths ending in each state (i, j) of one layer j: V is one int of
     lanes of _lane_width(bound) bits, lane i holding the count at position
     i, for i in 0..n, and bound is at least the sum of the lanes; counts(vec)
@@ -135,10 +136,9 @@ class CountingNfa:
 
     def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
         self.word = word
-        self.constraints = constraints
         self.num_symbols = num_symbols
         self.k = len(constraints) + 1
-        self.steps = [GapStep(word.symbols, c) for c in constraints]
+        self.steps = gap_steps(word.symbols, constraints)
         self.initial = (0, 0)
         n = len(word)
         # per layer j, the most positions one position of layer j reaches:

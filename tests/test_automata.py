@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gapsub import (
-    Alphabet,
     Dfa,
     InputError,
     Word,
     build_co_subsequence_automaton,
     build_subsequence_automaton,
-    dfa_validate,
     empty_word_dfa,
     product_shortest_accepted,
     sigma_star_dfa,
@@ -36,16 +34,6 @@ def test_dfa_with_extra_symbol_adds_dead_sink():
     assert d2.step(0, 3) == sink
     assert all(d2.step(sink, a) == sink for a in (1, 2, 3))
     assert sink not in d2.finals
-
-
-def test_dfa_validate_reports_problems():
-    ab = Alphabet(2)
-    good = sigma_star_dfa(2)
-    assert dfa_validate(good, ab) is None
-    narrow = Dfa(1, 0, frozenset({0}), ((0,),))
-    assert "symbol" in dfa_validate(narrow, ab)
-    with pytest.raises(InputError, match="out-of-range state 7"):
-        Dfa(1, 0, frozenset({0}), ((0, 7),))
 
 
 def test_sigma_star_and_empty_word():

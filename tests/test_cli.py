@@ -16,12 +16,15 @@ from gapsub import (
     RegularGap,
     Word,
     ZeroGap,
+    containment,
     count_embeddings,
+    equivalence,
     equivalence_with_multiplicities,
     match_with_equalities,
     sigma_star_dfa,
     solve_ov_bruteforce,
     solve_sat_bruteforce,
+    universality,
 )
 from gapsub import cli
 from gapsub.cli import (
@@ -339,10 +342,11 @@ def test_cli_equ_mult(tmp_path, capsys):
     assert code == 0 and "equivalent: yes" in out
 
 
-def test_cli_count_and_equ_mult_agree_with_the_library(tmp_path, capsys):
-    # 20 seeded instances in one process, each gap a DFA gap (vacuous or
-    # windowed, group or not), a length gap or a zero gap
-    rng = random.Random(18)
+def _seeded_instances(tmp_path, seed):
+    """20 instances over "abc": (trial, gaps, constraint file, text, text2,
+    pattern), each gap a DFA gap (vacuous or windowed, group or not), a
+    length gap or a zero gap, the DFA and constraint files in tmp_path."""
+    rng = random.Random(seed)
     glyphs = "abc"
     for trial in range(20):
         build = permutation_dfa if trial % 2 else random_dfa
@@ -366,6 +370,13 @@ def test_cli_count_and_equ_mult_agree_with_the_library(tmp_path, capsys):
             "".join(rng.choice(glyphs) for _ in range(size))
             for size in (rng.randint(0, 14), rng.randint(0, 14), k)
         )
+        yield trial, gc, c, text, text2, pattern
+
+
+def test_cli_count_and_equ_mult_agree_with_the_library(tmp_path, capsys):
+    # 20 seeded instances in one process
+    glyphs = "abc"
+    for trial, gc, c, text, text2, pattern in _seeded_instances(tmp_path, 18):
         word, word2, p = (Word(tuple(glyphs.index(ch) + 1 for ch in x)) for x in (text, text2, pattern))
         total = count_embeddings(word, GappedSequence(p, tuple(gc)))
         code = run_cli(["count", "-w", text, "-p", pattern, "-c", c, "--glyphs", glyphs])
@@ -376,6 +387,29 @@ def test_cli_count_and_equ_mult_agree_with_the_library(tmp_path, capsys):
             want += "witness: " + "".join(glyphs[a - 1] for a in wit.symbols) + "\n"
         code = run_cli(["equ-mult", "-w", text, "-W", text2, "-c", c, "--glyphs", glyphs])
         assert (code, capsys.readouterr().out) == (0 if ok else 1, want), trial
+
+
+def test_cli_analyze_agrees_with_the_library(tmp_path, capsys):
+    # the decision, candidate count and witness of analyze uni, con and
+    # equ are those of the library's AnalysisReport; uni reads the two
+    # words joined, so that some instances are universal
+    glyphs = "abc"
+    ab = Alphabet.from_glyphs(glyphs)
+    for trial, gc, c, text, text2, _ in _seeded_instances(tmp_path, 20):
+        word, word2 = ab.word(text), ab.word(text2)
+        both = ["-w", text, "-W", text2]
+        runs = [
+            ("uni", "universal", ["-w", text + text2], universality(ab.word(text + text2), gc, ab)),
+            ("con", "contained", both, containment(word, word2, gc, ab)),
+            ("equ", "equivalent", both, equivalence(word, word2, gc, ab)),
+        ]
+        for mode, label, words, report in runs:
+            want = f"{label}: {'yes' if report.decision else 'no'}\n"
+            want += f"candidates: {report.candidates_checked}\n"
+            if report.witness is not None:
+                want += "witness: " + "".join(glyphs[a - 1] for a in report.witness.symbols) + "\n"
+            code = run_cli(["analyze", mode, *words, "-c", c, "--glyphs", glyphs])
+            assert (code, capsys.readouterr().out) == (0 if report.decision else 1, want), (trial, mode)
 
 
 def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):

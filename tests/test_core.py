@@ -147,10 +147,6 @@ def test_measures_count_nonzero_constraints():
     assert gs.states == 1
     gs2 = GappedSequence(w("ab"), (LengthGap(1, 4),))
     assert gs2.nz == 1 and gs2.states == 1
-    # size: pattern length plus per-constraint encoding sizes
-    assert gs2.size == 2 + 3
-    gs3 = GappedSequence(w("ab"), (RegularGap(star2),))
-    assert gs3.size == 2 + 1 + 1 * 2
 
 
 def test_verify_embedding_worked_examples():
@@ -193,6 +189,8 @@ def test_normalize_clamps_and_rewrites():
     assert nc.constraints == (ZeroGap(),)
     nc = normalize_constraints((LengthGap(7, 9),), 5, 1)
     assert nc.infeasible
+    # a lower bound past the word is clamped to n + 1, the flag kept
+    assert normalize_constraints((LengthGap(10**12, INF),), 5, 1) == ((LengthGap(6, 6),), True)
     # reg-len windows clamp but stay reg-len: the dfa still filters
     star = sigma_star_dfa(1)
     nc = normalize_constraints((RegLenGap(0, INF, star),), 4, 1)

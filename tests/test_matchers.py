@@ -24,11 +24,13 @@ from gapsub import (
     UsageError,
     Word,
     ZeroGap,
+    build_counting_nfa,
     match,
     match_naive,
     match_with_equalities,
     pattern_blocks,
     sigma_star_dfa,
+    universality,
     verify_embedding,
 )
 from gapsub import matchers
@@ -78,6 +80,45 @@ def test_empty_pattern_always_matches():
     for fn in (match_naive, match):
         e = fn(w(""), GappedSequence(w(""), ()))
         assert e is not None and e.positions == ()
+
+
+def test_equal_gaps_share_one_step(monkeypatch):
+    # a word builds one GapStep per distinct constraint, so eleven gaps of
+    # one DFA build one step and settle its fixpoint once
+    built, settled = [], []
+    init, settle = GapStep.__init__, GapStep._settle
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_settle(self):
+        settled.append(self)
+        settle(self)
+
+    monkeypatch.setattr(GapStep, "__init__", counted_init)
+    monkeypatch.setattr(GapStep, "_settle", counted_settle)
+    rng = random.Random(20)
+    dfa = permutation_dfa(rng, 3, 2)
+    word = Word(tuple(rng.randint(1, 2) for _ in range(40)))
+    gc = (RegularGap(dfa),) * 11
+    universality(word, gc, Alphabet(2))
+    assert len(built) == 1 and len(settled) == 1
+    built.clear()
+    nfa = build_counting_nfa(word, gc)
+    assert len(built) == 1 and nfa.steps == [built[0]] * 11
+    built.clear()
+    match(word, GappedSequence(Word((1,) * 12), gc))
+    assert len(built) == 1
+    # RegularGap(dfa) and its vacuous RegLenGap read the same; a copy of
+    # the DFA, another window or another kind of gap is a step of its own
+    copy = Dfa(dfa.num_states, dfa.initial, dfa.finals, dfa.table)
+    gaps = [
+        RegularGap(dfa), RegLenGap(0, 40, dfa), RegularGap(copy), RegLenGap(1, 5, dfa),
+        LengthGap(1, 5), LengthGap(1, 5), LengthGap(1, 6), ZeroGap(), LengthGap(0, 0),
+    ]
+    steps = matchers.gap_steps(word.symbols, gaps)
+    assert [steps.index(step) for step in steps] == [0, 0, 2, 3, 4, 4, 6, 7, 7]
 
 
 def test_pattern_blocks_split_at_nonzero():

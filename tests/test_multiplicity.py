@@ -112,7 +112,7 @@ def test_dfa_count_sweeps_once_per_layer(monkeypatch):
     calls = _count_sweeps(monkeypatch)
     got = parikh_k(word, gc, Alphabet(2))
     assert len(got) == 32 and len(calls) == 4
-    assert len(set(map(id, calls))) == 4  # one per gap
+    assert len(set(map(id, calls))) == 1  # the four gaps share one step
     calls.clear()
     # three gaps, each spreading a layer below the last in both automata
     assert equivalence_with_multiplicities(word, word, gc[:3]) == (True, None)
@@ -371,6 +371,20 @@ def test_counting_edges():
     # a gap of 9 fits one "aa" in the longer word, and "aa" comes first
     ok, wit = equivalence_with_multiplicities(w("abab"), w("a" * 11 + "b"), far)
     assert not ok and _as_str(wit) == "aa"
+
+
+def test_a_lower_bound_far_past_the_word_is_clamped():
+    # normalization clamps lo to n + 1, so no gap engine shifts by the raw
+    # bound (a shift by 10**12 bits raised MemoryError)
+    word, p = Word((1, 2, 1)), Word((1, 1))
+    dfa = sigma_star_dfa(2)
+    for far in (LengthGap(10**12, INF), RegLenGap(10**12, INF, dfa)):
+        nfa = build_counting_nfa(word, [far])
+        error = (4, 3)  # (n + 1, k + 1)
+        assert all(targets == (error,) for (q, _), targets in nfa.transitions.items() if q[1] == 1)
+        assert count_embeddings(word, GappedSequence(p, (far,))) == 0
+        assert parikh_k(word, (far,), AB) == {}
+        assert equivalence_with_multiplicities(word, Word((2, 1, 1)), (far,)) == (True, None)
 
 
 @settings(max_examples=150, deadline=None)

@@ -93,3 +93,34 @@ def test_every_private_helper_in_the_package_is_used():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert {n: m for n, m in defined.items() if n not in used} == {}
+
+
+def _callers(tree, callee):
+    """The innermost function around each call of callee, by name."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == callee:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_gap_steps_are_built_in_one_place():
+    # every GapStep comes from matchers.gap_steps, which builds one per
+    # distinct constraint of a word: no caller builds one per gap
+    pkg = os.path.dirname(os.path.abspath(gapsub.__file__))
+    sites = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read(), name)
+            sites.extend((name, where) for where in _callers(tree, "GapStep"))
+    assert sites == [("matchers.py", "gap_steps")]
