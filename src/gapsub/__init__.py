@@ -19,13 +19,7 @@ from .analysis import (
     equivalence,
     universality,
 )
-from .automata import (
-    build_co_subsequence_automaton,
-    build_subsequence_automaton,
-    empty_word_dfa,
-    product_shortest_accepted,
-    sigma_star_dfa,
-)
+from .automata import sigma_star_dfa
 from .core import (
     DEFAULT_BUDGET,
     INF,
@@ -49,17 +43,14 @@ from .core import (
     normalize,
     normalize_constraints,
     verify_embedding,
-    wrap_boundary,
 )
 from .matchers import (
     EqualitySystem,
     match,
     match_naive,
     match_with_equalities,
-    pattern_blocks,
 )
 from .multiplicity import (
-    CountingNfa,
     build_counting_nfa,
     count_embeddings,
     equivalence_with_multiplicities,
@@ -95,7 +86,6 @@ __all__ = [
     "AnalysisReport",
     "BudgetError",
     "CnfFormula",
-    "CountingNfa",
     "DEFAULT_BUDGET",
     "Dfa",
     "Embedding",
@@ -113,15 +103,12 @@ __all__ = [
     "UsageError",
     "Word",
     "ZeroGap",
-    "build_co_subsequence_automaton",
     "build_counting_nfa",
-    "build_subsequence_automaton",
     "classical_containment",
     "constraint_allows",
     "constraint_window",
     "containment",
     "count_embeddings",
-    "empty_word_dfa",
     "equivalence",
     "equivalence_with_multiplicities",
     "is_zero_gap",
@@ -137,8 +124,6 @@ __all__ = [
     "ov_to_match",
     "parikh_k",
     "path_equivalent",
-    "pattern_blocks",
-    "product_shortest_accepted",
     "random_cnf",
     "random_graph",
     "random_ov",
@@ -151,5 +136,4 @@ __all__ = [
     "solve_sat_bruteforce",
     "universality",
     "verify_embedding",
-    "wrap_boundary",
 ]

@@ -21,11 +21,6 @@ def sigma_star_dfa(sigma: int) -> Dfa:
     return Dfa(1, 0, frozenset({0}), (tuple([0] * sigma),))
 
 
-def empty_word_dfa(sigma: int) -> Dfa:
-    """Accepts only the empty word: any symbol falls into a dead sink."""
-    return Dfa(2, 0, frozenset({0}), (tuple([1] * sigma), tuple([1] * sigma)))
-
-
 def _subsequence_rows(w: Word, sigma: Optional[int]) -> tuple[tuple[int, ...], ...]:
     """Table of the subsequence automaton of w, states 0..n+1: state i means
     the shortest embedding so far ends at position i, n+1 is the error sink,

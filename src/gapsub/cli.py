@@ -195,7 +195,7 @@ def resolve_words(
     words = []
     for w in chars:
         try:
-            words.append(Word(tuple(alphabet.id_of(ch) for ch in w.char_text)))
+            words.append(alphabet.word(w.char_text))
         except InputError as exc:
             raise InputError(f"word {w.char_text!r}: {exc}") from None
     return alphabet, words, "char"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 INF = float("inf")
 
@@ -62,14 +62,18 @@ class Alphabet:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InputError("alphabet size must be at least 1")
+        ids = None
         if self.glyphs is not None:
             if len(self.glyphs) != self.size:
                 raise InputError("glyph table length must equal alphabet size")
-            if len(set(self.glyphs)) != self.size:
+            ids = {g: i for i, g in enumerate(self.glyphs, 1)}
+            if len(ids) != self.size:
                 raise InputError("glyphs must be distinct")
             for g in self.glyphs:
                 if len(g) != 1:
                     raise InputError("glyphs must be single characters")
+        # the glyph -> id map is no field: equality, hash and repr ignore it
+        object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def from_glyphs(cls, glyphs: str) -> "Alphabet":
@@ -81,16 +85,19 @@ class Alphabet:
         return self.glyphs[sym - 1]
 
     def id_of(self, glyph: str) -> int:
-        if self.glyphs is None:
+        if self._ids is None:
             raise UsageError("alphabet has no glyph table")
         try:
-            return self.glyphs.index(glyph) + 1
-        except ValueError:
+            return self._ids[glyph]
+        except KeyError:
             raise InputError(f"glyph {glyph!r} not in alphabet") from None
 
     def word(self, text: str) -> "Word":
         """Word from a glyph string."""
-        return Word(tuple(self.id_of(ch) for ch in text))
+        syms = tuple(map((self._ids or {}).get, text))
+        if None in syms:
+            self.id_of(text[syms.index(None)])  # raises, naming the glyph
+        return Word(syms)
 
     def validate_word(self, w: "Word") -> None:
         for s in w.symbols:
@@ -211,13 +218,6 @@ class Dfa:
             q = self.table[q][a - 1]
         return q in self.finals
 
-    def with_extra_symbol(self) -> "Dfa":
-        """Widen the alphabet by one symbol that always leads to a dead sink."""
-        sink = self.num_states
-        rows = [row + (sink,) for row in self.table]
-        rows.append(tuple([sink] * (self.num_symbols + 1)))
-        return Dfa(self.num_states + 1, self.initial, self.finals, tuple(rows))
-
 
 @dataclass(frozen=True)
 class RegularGap:
@@ -315,11 +315,6 @@ class GappedSequence:
 
     def __len__(self) -> int:
         return len(self.pattern)
-
-    @property
-    def nz(self) -> int:
-        """Number of non-zero gap constraints."""
-        return sum(1 for c in self.constraints if not is_zero_gap(c))
 
     @property
     def states(self) -> int:
@@ -427,54 +422,3 @@ def normalize(gs: GappedSequence, n: int, sigma: int) -> Normalized:
     """Check and normalize the constraints of gs (see normalize_constraints)."""
     cs, infeasible = normalize_constraints(gs.constraints, n, sigma)
     return Normalized(GappedSequence(gs.pattern, cs), infeasible)
-
-
-def wrap_boundary(
-    p: Word, full_gc: tuple[GapConstraint, ...], sigma: int
-) -> tuple[GappedSequence, Callable[[Word], Word]]:
-    """Turn k+1 constraints (prefix, k-1 gaps, suffix) into a plain instance.
-
-    Returns a gapped sequence over sigma+1 symbols whose pattern is
-    $ p $ with $ = sigma+1, plus a transformer mapping each target word w
-    to $ w $.  The boundary symbol pins the pattern ends to the word ends,
-    so the former prefix and suffix constraints become interior gaps.
-    DFAs are extended with the new symbol routed to a dead sink; legal
-    embeddings never place $ inside a gap, so languages are preserved.
-    """
-    if len(full_gc) != len(p) + 1:
-        raise InputError(
-            f"boundary wrapping needs {len(p) + 1} constraints, got {len(full_gc)}"
-        )
-    for s in p.symbols:
-        if s > sigma:
-            raise InputError(f"pattern symbol {s} outside alphabet 1..{sigma}")
-    dollar = sigma + 1
-    extended: dict[int, Dfa] = {}
-    new_constraints: list[GapConstraint] = []
-    for c in full_gc:
-        dfa = constraint_dfa(c)
-        if dfa is None:
-            new_constraints.append(c)
-            continue
-        if id(dfa) not in extended:
-            if dfa.num_symbols != sigma:
-                raise InputError(
-                    f"constraint DFA covers {dfa.num_symbols} symbols, expected {sigma}"
-                )
-            extended[id(dfa)] = dfa.with_extra_symbol()
-        big = extended[id(dfa)]
-        if isinstance(c, RegularGap):
-            new_constraints.append(RegularGap(big))
-        else:
-            new_constraints.append(RegLenGap(c.lo, c.hi, big))
-    wrapped = GappedSequence(
-        Word((dollar,) + p.symbols + (dollar,)), tuple(new_constraints)
-    )
-
-    def wrap_word(w: Word) -> Word:
-        for s in w.symbols:
-            if s > sigma:
-                raise InputError(f"word symbol {s} outside alphabet 1..{sigma}")
-        return Word((dollar,) + w.symbols + (dollar,))
-
-    return wrapped, wrap_word

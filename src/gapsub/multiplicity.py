@@ -132,6 +132,10 @@ class CountingNfa:
     positions of a symbol is one AND with its lane mask.
     transitions lists the explicit transition relation, built on first
     access.
+
+    The constructor takes constraints already normalized by
+    normalize_constraints, as its callers count_embeddings, parikh_k and
+    build_counting_nfa (the public door) make them.
     """
 
     def __init__(self, word: Word, constraints: tuple, num_symbols: int) -> None:
@@ -304,7 +308,7 @@ def _repack(counts: int, n: int, width: int, fit: int) -> int:
 
 
 def build_counting_nfa(w: Word, gc) -> CountingNfa:
-    """Counting automaton of w under gc (see CountingNfa)."""
+    """Counting automaton of w under gc, normalized first (see CountingNfa)."""
     sigma = max(w.symbols, default=1)
     gcn, _ = normalize_constraints(gc, len(w), sigma)
     return CountingNfa(w, gcn, sigma)

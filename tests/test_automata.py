@@ -3,17 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gapsub import (
-    Dfa,
-    InputError,
-    Word,
+from gapsub import Dfa, InputError, Word, sigma_star_dfa
+from gapsub import automata
+from gapsub.automata import (
     build_co_subsequence_automaton,
     build_subsequence_automaton,
-    empty_word_dfa,
     product_shortest_accepted,
-    sigma_star_dfa,
 )
-from gapsub import automata
 from helpers import plain_subsequence_set
 
 
@@ -25,25 +21,10 @@ def test_dfa_basics():
     assert not d.run(())
 
 
-def test_dfa_with_extra_symbol_adds_dead_sink():
-    d = sigma_star_dfa(2)
-    d2 = d.with_extra_symbol()
-    assert d2.num_symbols == 3
-    assert d2.num_states == d.num_states + 1
-    sink = d2.num_states - 1
-    assert d2.step(0, 3) == sink
-    assert all(d2.step(sink, a) == sink for a in (1, 2, 3))
-    assert sink not in d2.finals
-
-
 def test_sigma_star_and_empty_word():
     star = sigma_star_dfa(3)
     assert star.run((1, 2, 3))
     assert star.run(())
-    eps = empty_word_dfa(3)
-    assert eps.run(())
-    assert not eps.run((2,))
-    assert not eps.run((2, 1))
 
 
 def _accepts(d: Dfa, syms) -> bool:

@@ -228,6 +228,14 @@ def test_cli_match_pattern_length_mismatch(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_cli_glyph_outside_the_table_names_glyph_and_word(tmp_path, capsys):
+    c = _write_constraints(tmp_path, "c", "k 1\n")
+    code = run_cli(["match", "-w", "abz", "-p", "a", "-c", c, "--glyphs", "ab"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'z'" in captured.err and "'abz'" in captured.err
+
+
 def test_cli_exit_2_never_prints_witness(tmp_path, capsys):
     c = _write_constraints(tmp_path, "c", "k 2\nL 0 nonsense\n")
     code = run_cli(["match", "-w", "ab", "-p", "ab", "-c", c, "--witness"])

@@ -21,7 +21,6 @@ from gapsub import (
     normalize_constraints,
     sigma_star_dfa,
     verify_embedding,
-    wrap_boundary,
 )
 
 ABC = Alphabet.from_glyphs("abc")
@@ -143,10 +142,9 @@ def test_measures_count_nonzero_constraints():
         (ZeroGap(), LengthGap(0, 0), RegLenGap(1, 2, star2)),
     )
     # only the reg-len gap is non-zero; sigma-star has one state
-    assert gs.nz == 1
     assert gs.states == 1
     gs2 = GappedSequence(w("ab"), (LengthGap(1, 4),))
-    assert gs2.nz == 1 and gs2.states == 1
+    assert gs2.states == 1
 
 
 def test_verify_embedding_worked_examples():
@@ -216,47 +214,6 @@ def test_normalize_window_invariants(lo, extra, n):
         (c,) = nc.constraints
         lo2, hi2 = constraint_window(c, n)
         assert lo2 == lo and lo2 <= hi2 <= n
-
-
-def test_wrap_boundary_shapes():
-    star = sigma_star_dfa(2)
-    full = (LengthGap(0, 2), RegularGap(star))
-    wrapped, wrap_word = wrap_boundary(w("a"), full, 2)
-    # pattern gains a sentinel on both ends
-    assert wrapped.pattern.symbols == (3, 1, 3)
-    assert len(wrapped.constraints) == 2
-    ww = wrap_word(Word((2, 2, 1)))
-    assert ww.symbols == (3, 2, 2, 1, 3)
-    # the extended dfa treats the sentinel as a dead letter
-    c = wrapped.constraints[1]
-    assert isinstance(c, RegularGap)
-    assert c.dfa.num_symbols == 3
-    assert not constraint_allows(c, (3,))
-    assert constraint_allows(c, (2, 1))
-
-
-def test_wrap_boundary_needs_full_constraint_list():
-    with pytest.raises(InputError):
-        wrap_boundary(w("ab"), (LengthGap(0, 1),), 2)
-
-
-@given(
-    st.lists(st.integers(1, 2), min_size=0, max_size=6),
-    st.lists(st.integers(1, 2), min_size=1, max_size=3),
-)
-def test_wrap_boundary_preserves_matching(wsyms, psyms):
-    # wrapping with unconstrained outer gaps keeps inner matching intact
-    from gapsub import match_naive
-
-    full = tuple(LengthGap(0, INF) for _ in range(len(psyms) + 1))
-    wrapped, wrap_word = wrap_boundary(Word(tuple(psyms)), full, 2)
-    word = Word(tuple(wsyms))
-    plain = GappedSequence(
-        Word(tuple(psyms)), tuple(LengthGap(0, INF) for _ in range(len(psyms) - 1))
-    )
-    inner = match_naive(word, plain)
-    outer = match_naive(wrap_word(word), wrapped)
-    assert (inner is None) == (outer is None)
 
 
 def test_dfa_alphabet_boundary_in_every_entry_point():

@@ -28,14 +28,13 @@ from gapsub import (
     match,
     match_naive,
     match_with_equalities,
-    pattern_blocks,
     sigma_star_dfa,
     universality,
     verify_embedding,
 )
 from gapsub import matchers
 from gapsub.core import constraint_allows, constraint_window
-from gapsub.matchers import GapStep, _pack_lanes, _unpack_lanes
+from gapsub.matchers import GapStep, _pack_lanes, _unpack_lanes, pattern_blocks
 from gapsub.reductions import CnfFormula, random_cnf, sat_to_match_equalities
 from helpers import (
     brute_embeddings,

@@ -114,13 +114,29 @@ def _callers(tree, callee):
     return found
 
 
-def test_gap_steps_are_built_in_one_place():
-    # every GapStep comes from matchers.gap_steps, which builds one per
-    # distinct constraint of a word: no caller builds one per gap
+def _package_callers(callee):
+    """(module file, innermost function) of each call of callee in the package."""
     pkg = os.path.dirname(os.path.abspath(gapsub.__file__))
     sites = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read(), name)
-            sites.extend((name, where) for where in _callers(tree, "GapStep"))
-    assert sites == [("matchers.py", "gap_steps")]
+            sites.extend((name, where) for where in _callers(tree, callee))
+    return sites
+
+
+def test_gap_steps_are_built_in_one_place():
+    # every GapStep comes from matchers.gap_steps, which builds one per
+    # distinct constraint of a word: no caller builds one per gap
+    assert _package_callers("GapStep") == [("matchers.py", "gap_steps")]
+
+
+def test_counting_nfa_is_built_only_by_its_normalizing_callers():
+    # CountingNfa takes constraints as given: every caller normalizes them
+    # first, and the public door is build_counting_nfa
+    assert sorted(_package_callers("CountingNfa")) == [
+        ("multiplicity.py", "build_counting_nfa"),
+        ("multiplicity.py", "count_embeddings"),
+        ("multiplicity.py", "parikh_k"),
+    ]
+    assert "CountingNfa" not in gapsub.__all__
