@@ -280,11 +280,17 @@ def _parse_bound(tok: str) -> int | float:
 
 
 def parse_constraints_text(text: str, base_dir: str = ".") -> tuple[int, tuple[GapConstraint, ...]]:
-    """Returns (k, constraints); DFA paths are resolved against base_dir."""
+    """Returns (k, constraints); DFA paths are resolved against base_dir.
+
+    Equal constraint lines give one shared constraint object, so a file of
+    many gaps and few distinct constraints parses each distinct line once."""
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("k "):
         raise InputError("constraint file must start with a 'k <k>' line")
-    k = _int(lines[0].split()[1], "k line")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise InputError(f"bad k line {lines[0]!r}: expected 'k <k>'")
+    k = _int(head[1], "k line")
     if k < 0:
         raise InputError("k must be nonnegative")
     need = max(0, k - 1)
@@ -299,33 +305,45 @@ def parse_constraints_text(text: str, base_dir: str = ".") -> tuple[int, tuple[G
             dfas[full] = parse_dfa_text(_read_text(full, "dfa"))
         return dfas[full]
 
-    out: list[GapConstraint] = []
-    for line in body:
+    def parse_line(line: str) -> GapConstraint:
         toks = line.split()
         kind = toks[0]
         if kind == "Z" and len(toks) == 1:
-            out.append(ZeroGap())
-        elif kind == "L" and len(toks) == 3:
-            out.append(LengthGap(_int(toks[1], "length bound"), _parse_bound(toks[2])))
-        elif kind == "R" and len(toks) == 2:
-            out.append(RegularGap(load_dfa(toks[1])))
-        elif kind == "RL" and len(toks) == 4:
-            out.append(RegLenGap(_int(toks[1], "length bound"), _parse_bound(toks[2]), load_dfa(toks[3])))
-        else:
-            raise InputError(f"bad constraint line {line!r}")
-    return k, tuple(out)
+            return ZeroGap()
+        if kind == "L" and len(toks) == 3:
+            return LengthGap(_int(toks[1], "length bound"), _parse_bound(toks[2]))
+        if kind == "R" and len(toks) == 2:
+            return RegularGap(load_dfa(toks[1]))
+        if kind == "RL" and len(toks) == 4:
+            return RegLenGap(_int(toks[1], "length bound"), _parse_bound(toks[2]), load_dfa(toks[3]))
+        raise InputError(f"bad constraint line {line!r}")
+
+    parsed: dict[str, GapConstraint] = {}
+    for line in body:
+        if line not in parsed:
+            parsed[line] = parse_line(line)
+    return k, tuple(map(parsed.__getitem__, body))
 
 
 def serialize_constraints_text(k: int, gc: Sequence[GapConstraint]) -> str:
+    """The constraint file of gc; each distinct constraint object is
+    formatted once."""
+
+    def format_line(c: GapConstraint) -> str:
+        if isinstance(c, ZeroGap):
+            return "Z"
+        if isinstance(c, LengthGap):
+            hi = "inf" if c.hi == INF else str(c.hi)
+            return f"L {c.lo} {hi}"
+        raise InputError("only zero and length constraints can be serialized here")
+
+    formatted: dict[int, str] = {}
     lines = [f"k {k}"]
     for c in gc:
-        if isinstance(c, ZeroGap):
-            lines.append("Z")
-        elif isinstance(c, LengthGap):
-            hi = "inf" if c.hi == INF else str(c.hi)
-            lines.append(f"L {c.lo} {hi}")
-        else:
-            raise InputError("only zero and length constraints can be serialized here")
+        line = formatted.get(id(c))
+        if line is None:
+            line = formatted[id(c)] = format_line(c)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -536,8 +554,8 @@ def bench_match(
 
 def _load(args, values: Sequence[str]) -> tuple[Alphabet, list[Word], str, tuple[GapConstraint, ...]]:
     """Session words, then constraints: k must fit the pattern (or be at least 1
-    without one, since the analyses read k as len(gc) + 1), each DFA the
-    session alphabet."""
+    without one, since the analyses read k as len(gc) + 1), each distinct DFA
+    the session alphabet, once."""
     inputs = [load_word_value(v) for v in values]
     alphabet, words, mode = resolve_words(inputs, args.glyphs, args.sigma)
     path = args.constraints
@@ -574,7 +592,7 @@ def _cmd_match(args) -> int:
         return 1
     print("match: yes")
     if args.witness:
-        print("witness: " + " ".join(str(i) for i in got.positions))
+        print("witness: " + " ".join(map(str, got.positions)))
     return 0
 
 

@@ -273,11 +273,14 @@ def constraint_dfa(c: GapConstraint) -> Optional[Dfa]:
 def check_dfa_alphabet(constraints: Iterable[GapConstraint], sigma: int) -> None:
     """Raise InputError unless every constraint DFA covers the symbols 1..sigma.
 
-    A DFA over more symbols is fine: gaps never read the extra ones.
+    A DFA over more symbols is fine: gaps never read the extra ones.  Each
+    distinct constraint object, and each distinct DFA object, is looked at
+    once, so gaps that repeat one constraint cost one dict entry each.
     """
-    for c in constraints:
-        dfa = constraint_dfa(c)
-        if dfa is not None and dfa.num_symbols < sigma:
+    distinct = {id(c): c for c in constraints}.values()
+    dfas = {id(d): d for d in map(constraint_dfa, distinct) if d is not None}
+    for dfa in dfas.values():
+        if dfa.num_symbols < sigma:
             raise InputError(
                 f"constraint DFA covers {dfa.num_symbols} symbols, the alphabet has {sigma}"
             )
@@ -384,6 +387,17 @@ class NormalizedConstraints(NamedTuple):
     infeasible: bool
 
 
+def _normalize_window(c: Union[LengthGap, RegLenGap], n: int) -> tuple[GapConstraint, bool]:
+    """The clamped form of one windowed constraint, and whether lo > n."""
+    lo, hi = constraint_window(c, n)
+    infeasible = lo > n
+    lo = min(lo, n + 1)
+    hi = max(hi, lo)
+    if isinstance(c, RegLenGap):
+        return RegLenGap(lo, hi, c.dfa), infeasible
+    return (ZeroGap() if hi == 0 else LengthGap(lo, hi)), infeasible
+
+
 def normalize_constraints(
     constraints: Iterable[GapConstraint], n: int, sigma: int
 ) -> NormalizedConstraints:
@@ -396,26 +410,32 @@ def normalize_constraints(
     meets a bound past n + 1; a (0,0) window becomes ZeroGap; the
     infeasible flag is set when some lower bound exceeds n (that constraint
     can never be met inside a word of length n).
+
+    The work is done once per distinct constraint.  Each constraint object
+    is looked at once, and windowed constraints that agree on their class,
+    their window and their DFA object share one normalized result, which is
+    frozen and so safe to repeat.  A DFA is compared by identity and never
+    hashed, since hashing a Dfa hashes its whole table.  Zero and regular
+    constraints are returned as given.
     """
     constraints = tuple(constraints)
-    check_dfa_alphabet(constraints, sigma)
-    out: list[GapConstraint] = []
+    # one entry per constraint object, in first-seen order, so the first
+    # offending gap raises, as a gap-by-gap pass would
+    distinct = {id(c): c for c in constraints}
+    check_dfa_alphabet(distinct.values(), sigma)
+    shared: dict[tuple, tuple[GapConstraint, bool]] = {}
     infeasible = False
-    for c in constraints:
+    for ident, c in distinct.items():
         if isinstance(c, (LengthGap, RegLenGap)):
-            lo, hi = constraint_window(c, n)
-            infeasible = infeasible or lo > n
-            lo = min(lo, n + 1)
-            hi = max(hi, lo)
-            if isinstance(c, RegLenGap):
-                out.append(RegLenGap(lo, hi, c.dfa))
-            else:
-                out.append(ZeroGap() if hi == 0 else LengthGap(lo, hi))
-        elif isinstance(c, (ZeroGap, RegularGap)):
-            out.append(c)
-        else:
+            key = (type(c), c.lo, c.hi, id(constraint_dfa(c)))
+            got = shared.get(key)
+            if got is None:
+                got = shared[key] = _normalize_window(c, n)
+            distinct[ident], bad = got
+            infeasible = infeasible or bad
+        elif not isinstance(c, (ZeroGap, RegularGap)):
             raise InputError(f"not a gap constraint: {c!r}")
-    return NormalizedConstraints(tuple(out), infeasible)
+    return NormalizedConstraints(tuple([distinct[id(c)] for c in constraints]), infeasible)
 
 
 def normalize(gs: GappedSequence, n: int, sigma: int) -> Normalized:

@@ -80,6 +80,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -104,22 +105,23 @@ def pattern_blocks(gs: GappedSequence) -> tuple[list[tuple[int, ...]], list]:
     Returns (blocks, joints): maximal runs of pattern symbols joined by
     zero gaps, and the non-zero constraints between consecutive blocks.
     Blocks are never empty because each constraint sits at its own gap.
+    Each constraint object is tested for a zero gap once.
     """
     syms = gs.pattern.symbols
     if not syms:
         return [], []
-    blocks: list[tuple[int, ...]] = []
+    zero: dict[int, bool] = {}
     joints: list = []
-    cur = [syms[0]]
-    for idx, c in enumerate(gs.constraints):
-        if is_zero_gap(c):
-            cur.append(syms[idx + 1])
-        else:
-            blocks.append(tuple(cur))
+    cuts = [0]
+    for idx, c in enumerate(gs.constraints, start=1):
+        z = zero.get(id(c))
+        if z is None:
+            z = zero[id(c)] = is_zero_gap(c)
+        if not z:
+            cuts.append(idx)
             joints.append(c)
-            cur = [syms[idx + 1]]
-    blocks.append(tuple(cur))
-    return blocks, joints
+    cuts.append(len(syms))
+    return [syms[a:b] for a, b in zip(cuts, cuts[1:])], joints
 
 
 # A DFA gap with a real window takes the bit-parallel step when
@@ -737,18 +739,25 @@ def gap_steps(
     """One GapStep per constraint of the word syms, built once per distinct
     constraint: gaps with the same window and the same DFA object share one
     step, with its memos and tables.  The DFA is keyed by identity, since
-    hashing a Dfa hashes its whole table; normalized constraints are fresh
-    objects per gap, so they are keyed by what a step reads of them.  The
-    steps share posmask (see GapStep), one dict when none is given."""
+    hashing a Dfa hashes its whole table.  A step is looked up by the
+    constraint object first: normalize_constraints returns one object per
+    distinct constraint, so a repeated gap costs one dict lookup, and only
+    a new object has its window computed.  Equal constraints held in
+    distinct objects still share a step through the window key.  The steps
+    share posmask (see GapStep), one dict when none is given."""
     n = len(syms)
     posmask = {} if posmask is None else posmask
     built: dict[tuple[tuple[int, int], int], GapStep] = {}
+    by_object: dict[int, GapStep] = {}
     steps = []
     for c in constraints:
-        key = (constraint_window(c, n), id(constraint_dfa(c)))
-        step = built.get(key)
+        step = by_object.get(id(c))
         if step is None:
-            step = built[key] = GapStep(syms, c, posmask)
+            key = (constraint_window(c, n), id(constraint_dfa(c)))
+            step = built.get(key)
+            if step is None:
+                step = built[key] = GapStep(syms, c, posmask)
+            by_object[id(c)] = step
         steps.append(step)
     return steps
 
@@ -768,13 +777,16 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     syms = w.symbols
     blocks, joints = pattern_blocks(gs)
     posmask = position_masks(syms, gs.pattern.symbols)
-    ends = []
+    # one end mask per distinct block: a many-gap pattern repeats few blocks
+    block_ends: dict[tuple[int, ...], int] = {}
     for block in blocks:
-        m = len(block)
-        e = posmask[block[-1]]
-        for idx in range(m - 1):
-            e &= posmask[block[idx]] << (m - 1 - idx)
-        ends.append(e)
+        if block not in block_ends:
+            m = len(block)
+            e = posmask[block[-1]]
+            for idx in range(m - 1):
+                e &= posmask[block[idx]] << (m - 1 - idx)
+            block_ends[block] = e
+    ends = [block_ends[block] for block in blocks]
     D = [ends[0]]
     steps = gap_steps(syms, joints, posmask)
     for t, step in enumerate(steps):
@@ -783,13 +795,17 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
         D.append((step.reach(D[t]) << (len(blocks[t + 1]) - 1)) & ends[t + 1])
     if not D[-1]:
         return None
+    # the witness is built right to left, one range per block, and reversed
+    # once: prepending each block would copy the list k times
     end = _lowest_bit(D[-1])
-    positions = list(range(end - len(blocks[-1]) + 1, end + 1))
+    start = end - len(blocks[-1]) + 1
+    pieces = [range(start, end + 1)]
     for t in range(len(joints) - 1, -1, -1):
-        end = steps[t].pred(D[t], positions[0])
+        end = steps[t].pred(D[t], start)
         assert end >= 1, "forward pass admitted an unreachable end"
-        positions[:0] = range(end - len(blocks[t]) + 1, end + 1)
-    return Embedding(tuple(positions))
+        start = end - len(blocks[t]) + 1
+        pieces.append(range(start, end + 1))
+    return Embedding(tuple(chain.from_iterable(reversed(pieces))))
 
 
 @dataclass(frozen=True)

@@ -108,14 +108,19 @@ def _ov_text_gadget(vec: tuple[int, ...]) -> list[int]:
 
 
 class _PatternBuilder:
-    """Accumulates pattern symbols with the constraint preceding each one."""
+    """Accumulates pattern symbols with the constraint preceding each one;
+    gaps with one upper bound share one constraint object."""
 
     def __init__(self, first: int) -> None:
         self.syms = [first]
         self.cons: list[GapConstraint] = []
+        self.made: dict[int, GapConstraint] = {}
 
     def add(self, upper: int, sym: int) -> None:
-        self.cons.append(ZeroGap() if upper == 0 else LengthGap(0, upper))
+        c = self.made.get(upper)
+        if c is None:
+            c = self.made[upper] = ZeroGap() if upper == 0 else LengthGap(0, upper)
+        self.cons.append(c)
         self.syms.append(sym)
 
 
@@ -409,32 +414,28 @@ def metanuni_to_nuni(inst: MetaNUniInstance) -> tuple[Word, tuple[GapConstraint,
     m = inst.gamma_size
     k = inst.k
     hash_sym = m + 1
-    gc = tuple(LengthGap(m - 1, 3 * m - 1) for _ in range(k - 1))
+    gc = (LengthGap(m - 1, 3 * m - 1),) * (k - 1)
     gamma_run = tuple(range(1, m + 1))
 
     def filler(count: int) -> tuple[int, ...]:
         return (hash_sym,) * count
 
-    def t_block(i: int) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for j in range(1, k + 1):
-            out += filler(m) if j == i else gamma_run + filler(m)
-        return out
-
-    word: tuple[int, ...] = ()
+    # one list, extended in place: tuple += would copy the word each time
+    word: list[int] = []
     for i in range(1, k + 1):
         if i > 1:
             word += filler(3 * m)
-        word += t_block(i)
+        for j in range(1, k + 1):
+            if j != i:
+                word += gamma_run
+            word += filler(m)
     for row in inst.rows:
         word += filler(3 * m)
-        srow: tuple[int, ...] = ()
         for j, cell in enumerate(row):
             if j > 0:
-                srow += filler(m - 1)
-            srow += tuple(sorted(cell))
-        word += srow
-    return Word(word), gc
+                word += filler(m - 1)
+            word += sorted(cell)
+    return Word(tuple(word)), gc
 
 
 def nuni_universal_word(gamma_size: int, k: int) -> Word:
@@ -472,12 +473,12 @@ def sat_to_nuni_binary(
     sep = (b,) + (a, b) * 5
 
     def joined(parts: list[tuple[int, ...]], glue: tuple[int, ...]) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
+        out: list[int] = []
         for idx, part in enumerate(parts):
             if idx:
                 out += glue
             out += part
-        return out
+        return tuple(out)
 
     def clause_word(clause: frozenset[int]) -> tuple[int, ...]:
         parts = []
@@ -495,13 +496,11 @@ def sat_to_nuni_binary(
         for i in range(1, k + 1)
     ]
     s = joined(t_blocks + [clause_word(c) for c in f.clauses], sep)
-    gc: list[GapConstraint] = []
-    for j in range(1, k + 1):
-        gc.append(ZeroGap())
-        if j < k:
-            gc.append(LengthGap(3, 9))
+    # zero gaps inside a variable, (3, 9) windows between: one object each
+    zero = ZeroGap()
+    gc = (zero, LengthGap(3, 9)) * (k - 1) + (zero,)
     reference = (aabba + (b, b, b)) * k
-    return Word(s), tuple(gc), Word(reference)
+    return Word(s), gc, Word(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +578,5 @@ def sat_to_match_equalities(
     pairs = []
     for members in by_label.values():
         pairs.extend((members[0], g) for g in members[1:])
-    gs = GappedSequence(
-        Word(tuple(psyms)), tuple(LengthGap(0, INF) for _ in labels)
-    )
+    gs = GappedSequence(Word(tuple(psyms)), (LengthGap(0, INF),) * len(labels))
     return Word(tuple(word)), gs, EqualitySystem.from_pairs(pairs)

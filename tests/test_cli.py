@@ -142,6 +142,21 @@ def test_constraints_wrong_count():
         parse_constraints_text("k 3\nZ\n", ".")
 
 
+def test_constraints_k_line_with_extra_tokens_rejected():
+    # the k line once read its first token and ignored the rest
+    with pytest.raises(InputError, match="bad k line 'k 3 junk'"):
+        parse_constraints_text("k 3 junk\nL 0 1\nL 0 1\n", ".")
+
+
+def test_equal_constraint_lines_share_one_object(tmp_path):
+    (tmp_path / "star.dfa").write_text(serialize_dfa_text(sigma_star_dfa(2)))
+    text = "k 7\nZ\nL 0 1\nR star.dfa\nL 0 1\nRL 1 inf star.dfa\nZ\n"
+    k, gc = parse_constraints_text(text, str(tmp_path))
+    assert k == 7 and gc[1] is gc[3] and gc[0] is gc[5]
+    assert gc[2].dfa is gc[4].dfa
+    assert gc == (ZeroGap(), LengthGap(0, 1), gc[2], LengthGap(0, 1), gc[4], ZeroGap())
+
+
 def test_ov_file_round_trip():
     inst = random_ov(3, 4, seed=2)
     assert parse_ov_text(serialize_ov_text(inst)) == inst
@@ -505,6 +520,32 @@ def test_cli_gen_ov_pipeline(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == (0 if want else 1)
+
+
+@pytest.mark.parametrize("seed, want", [(3, True), (54, False)])
+def test_cli_match_agrees_with_the_library_on_paper_ov(seed, want, tmp_path, capsys):
+    # the paper's lower-bound instance at n = d = 12: 1149 gaps, 5 distinct
+    # constraints; the file round-trips byte for byte and the CLI's answer
+    # and witness are those of match and match_naive
+    from gapsub import match, match_naive
+    from gapsub.reductions import ov_to_match
+
+    prefix = str(tmp_path / "ov")
+    argv = ["gen", "ov", "--n", "12", "--d", "12", "--seed", str(seed), "--out", prefix]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    inst = parse_ov_text((tmp_path / "ov.ov").read_text())
+    assert inst == random_ov(12, 12, seed) and solve_ov_bruteforce(inst) == want
+    w, gs = ov_to_match(inst)
+    text = (tmp_path / "ov.constraints").read_text()
+    assert serialize_constraints_text(len(gs.pattern), parse_constraints_text(text)[1]) == text
+    got = match(w, gs)
+    assert got == match_naive(w, gs) and (got is not None) == want
+    code = run_cli(["match", "-w", f"@{prefix}.word", "-p", f"@{prefix}.pattern",
+                    "-c", f"{prefix}.constraints", "--witness"])
+    expected = "match: no\n" if got is None else (
+        "match: yes\nwitness: " + " ".join(map(str, got.positions)) + "\n")
+    assert (code, capsys.readouterr().out) == (0 if want else 1, expected)
 
 
 def test_cli_gen_ov_from_file(tmp_path, capsys):

@@ -120,6 +120,71 @@ def test_equal_gaps_share_one_step(monkeypatch):
     assert [steps.index(step) for step in steps] == [0, 0, 2, 3, 4, 4, 6, 7, 7]
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_ov_instance_works_per_distinct_constraint(seed, monkeypatch):
+    # the OV reduction at n = d = 12 has 1149 gaps and 5 distinct
+    # constraints; every layer from the file to the gap steps builds one
+    # object per distinct constraint, counted rather than timed
+    from dataclasses import replace
+
+    from gapsub import core
+    from gapsub.cli import parse_constraints_text, serialize_constraints_text
+    from gapsub.reductions import ov_to_match, random_ov
+
+    word, gs = ov_to_match(random_ov(12, 12, seed))
+    n, k = len(word), len(gs.pattern)
+    assert k - 1 == 1149
+    norm = core.normalize_constraints(gs.constraints, n, 4)
+    assert len({id(c) for c in norm.constraints}) == 5
+    one_by_one = [core.normalize_constraints((replace(c),), n, 4) for c in gs.constraints]
+    assert list(norm.constraints) == [nc.constraints[0] for nc in one_by_one]
+    assert norm.infeasible == any(nc.infeasible for nc in one_by_one)
+    text = serialize_constraints_text(k, gs.constraints)
+    assert text.count("\n") == 1150
+    _, parsed = parse_constraints_text(text)
+    assert len({id(c) for c in parsed}) == 5
+    steps = matchers.gap_steps(word.symbols, norm.constraints)
+    assert len({id(step) for step in steps}) == 5
+    naive = match_naive(word, GappedSequence(gs.pattern, parsed))
+    windows = []
+    check = core._check_window
+
+    def counted(lo, hi):
+        windows.append((lo, hi))
+        check(lo, hi)
+
+    monkeypatch.setattr(core, "_check_window", counted)
+    assert match(word, gs) == naive
+    assert len(windows) <= 5
+
+
+def test_equal_dfas_stay_apart_and_are_never_hashed(monkeypatch):
+    # a DFA is compared by identity: two equal copies get two steps, and
+    # no layer hashes one (that would hash its whole table)
+    dfa = permutation_dfa(random.Random(4), 3, 2)
+    copy = Dfa(dfa.num_states, dfa.initial, dfa.finals, dfa.table)
+    assert copy == dfa and copy is not dfa
+
+    def refuse(self):
+        raise AssertionError("a Dfa was hashed")
+
+    monkeypatch.setattr(Dfa, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(dfa)
+    from gapsub.core import normalize_constraints
+
+    word = Word(tuple(random.Random(5).randint(1, 2) for _ in range(30)))
+    gaps = [RegLenGap(1, 4, dfa), RegLenGap(1, 4, copy), RegularGap(dfa), RegularGap(copy)] * 5
+    norm = normalize_constraints(gaps, len(word), 2)
+    steps = matchers.gap_steps(word.symbols, norm.constraints)
+    assert len({id(step) for step in steps}) == 4
+    assert steps[:4] == steps[4:8]
+    gs = GappedSequence(Word((1,) * (len(gaps) + 1)), tuple(gaps))
+    short = GappedSequence(Word((1, 2, 1, 2, 1)), tuple(gaps[:4]))
+    assert match(word, gs) == match_naive(word, gs)
+    assert match(word, short) == match_naive(word, short)
+
+
 def test_pattern_blocks_split_at_nonzero():
     gs = GappedSequence(
         w("abcab"),
