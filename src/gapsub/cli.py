@@ -56,6 +56,7 @@ from .core import (
     LengthGap,
     RegLenGap,
     RegularGap,
+    UsageError,
     Word,
     ZeroGap,
     check_dfa_alphabet,
@@ -201,9 +202,16 @@ def resolve_words(
     return alphabet, words, "char"
 
 
+def _glyph_text(w: Word, glyphs: tuple[str, ...]) -> str:
+    """The glyphs of w's symbols, indexing the glyph table once per symbol."""
+    return "".join([glyphs[s - 1] for s in w.symbols])
+
+
 def serialize_word_text(w: Word, alphabet: Alphabet, mode: str) -> str:
     if mode == "char":
-        body = "".join(alphabet.glyph(s) for s in w.symbols)
+        if alphabet.glyphs is None:
+            raise UsageError("alphabet has no glyph table")
+        body = _glyph_text(w, alphabet.glyphs)
         return f"mode char\nglyphs {''.join(alphabet.glyphs)}\nword {body}\n"
     body = " ".join(str(s) for s in w.symbols)
     return f"mode int\nsigma {alphabet.size}\nword {body}\n"
@@ -211,7 +219,7 @@ def serialize_word_text(w: Word, alphabet: Alphabet, mode: str) -> str:
 
 def format_word(w: Word, alphabet: Alphabet, mode: str) -> str:
     if mode == "char" and alphabet.glyphs is not None:
-        return "".join(alphabet.glyph(s) for s in w.symbols)
+        return _glyph_text(w, alphabet.glyphs)
     return " ".join(str(s) for s in w.symbols)
 
 

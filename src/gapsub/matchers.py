@@ -23,9 +23,13 @@ with its memos and tables; a step picks its case from the constraint alone:
                           every symbol permutes those (a group DFA such as
                           parity), since the set can then no longer change
 - DFA, real window, and   bit-parallel over every start at once: one
-  (hi+1) * states *       mask of starts per DFA state, and hi steps of
-  symbols at most         AND, OR and shift over the span of the starts
-  _BIT_PARALLEL_MAX_COST  plus hi+1 positions, all in C big-int operations
+  (hi+1) * states *       mask of starts per DFA state, and about hi/b
+  symbols at most         blocks of AND, OR and a b-bit shift over the
+  _BIT_PARALLEL_MAX_COST  span of the starts plus hi+1 positions, all in C
+                          big-int operations; a block reads b symbols
+                          (Shift-And over a super-alphabet: Fredriksson,
+                          IPL 2003), b = _BLOCK_SYMBOLS for small DFAs
+                          and wide windows, else 1 (see GapStep)
 - DFA, real window,       one sweep of merged DFA traces (_Traces),
   otherwise               giving each start's state after lo symbols, and
                           per state the latest such entry, O(n states) per
@@ -130,6 +134,15 @@ def pattern_blocks(gs: GappedSequence) -> tuple[list[tuple[int, ...]], list]:
 # every measured cost up to 32k, and the sweep won from 48k on when 1% of
 # the positions were starts.
 _BIT_PARALLEL_MAX_COST = 32_000
+
+# The bit-parallel step reads b = _BLOCK_SYMBOLS word symbols per block
+# when states <= 4 * symbols and 2 * states**2 <= (hi - 4b) * symbols, else
+# one per step.  A block costs one AND per state pair and one shift per
+# state, against b ANDs per transition pair and b shifts per state.  Its
+# tables cost about log2(b) * states**3 ANDs once per step, so a one-shot
+# call gains from about hi = 4b + 2 * states**2 / symbols (measured on one
+# gap, n = 50k, 2-core Xeon, CPython 3.11, 2 to 8 states, 2 to 4 symbols).
+_BLOCK_SYMBOLS = 8
 
 
 def _or_spread(x: int, span: int) -> int:
@@ -239,6 +252,33 @@ def _deinterleave(columns: list[int], m: int, width: int) -> list[int]:
     return out
 
 
+def _pairs(table: dict[int, dict[int, int]]) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """A table of transition masks, table[q2][q], as the pairs lists the
+    bit-parallel step walks: per q2, the (q, mask) with a non-empty mask."""
+    return [(q2, tuple((q, m) for q, m in src.items() if m)) for q2, src in table.items()]
+
+
+def _compose(
+    head: dict[int, dict[int, int]], span: int, tail: dict[int, dict[int, int]]
+) -> dict[int, dict[int, int]]:
+    """Transition masks of head's symbols followed by tail's.  Bit p of
+    head[q1][q] is set when the span symbols from p move q to q1, and bit p
+    of tail[q2][q1] when tail's symbols from p move q1 to q2; the result's
+    [q2][q] has bit p when head's run from q at p and tail's run at p+span
+    meet at some q1.  Every q1 of tail is a key of head."""
+    out = {}
+    for q2, mids in tail.items():
+        acc: dict[int, int] = {}
+        for q1, m2 in mids.items():
+            m2 >>= span
+            for q, m1 in head[q1].items():
+                x = m1 & m2
+                if x:
+                    acc[q] = acc.get(q, 0) | x
+        out[q2] = acc
+    return out
+
+
 def _iter_bits(x: int) -> Iterable[int]:
     # byte-wise walk keeps this linear in the mask width
     base = 0
@@ -275,26 +315,80 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def position_masks(syms: tuple[int, ...], wanted: Iterable[int]) -> dict[int, int]:
-    """Mask of the positions (1-based) holding symbol a, for each a in wanted."""
-    wanted = set(wanted)
-    try:
-        top_first = bytes(syms)[::-1]
-    except ValueError:  # an id past a byte: set the bits position by position
-        bufs = {a: bytearray(len(syms) // 8 + 2) for a in wanted}
-        for i, a in enumerate(syms, start=1):
-            b = bufs.get(a)
-            if b is not None:
-                b[i >> 3] |= 1 << (i & 7)
-        return {a: int.from_bytes(b, "little") for a, b in bufs.items()}
-    # one C-level translate per symbol instead of a loop over positions
-    out = {}
-    for a in wanted:
-        table = bytearray(b"0" * 256)
-        if a < 256:
-            table[a] = ord("1")
-        out[a] = int(top_first.translate(table) or b"0", 2) << 1
-    return out
+class _PositionMasks(dict):
+    """The position masks of one word, by symbol: self[a] is the mask of the
+    positions (1-based) holding a, built on its first lookup.
+
+    The word's byte form, last symbol first, is built on first use and
+    serves every mask, with one C-level translate per symbol, and the DFA
+    coverage check (_dfa_sigma); it is None when an id is past a byte, and
+    the masks are then set position by position."""
+
+    __slots__ = ("syms", "_top_first")
+
+    def __init__(self, syms: tuple[int, ...]) -> None:
+        super().__init__()
+        self.syms = syms
+        self._top_first: Optional[bytes] | bool = False  # False: not built yet
+
+    def top_first(self) -> Optional[bytes]:
+        if self._top_first is False:
+            try:
+                self._top_first = bytes(self.syms)[::-1]
+            except ValueError:
+                self._top_first = None
+        return self._top_first
+
+    def fill(self, wanted: Iterable[int]) -> None:
+        """Build the masks of the symbols of wanted that are not built yet."""
+        missing = {a for a in wanted if a not in self}
+        if not missing:
+            return
+        raw = self.top_first()
+        if raw is None:  # one pass over the word for all of them
+            bufs = {a: bytearray(len(self.syms) // 8 + 2) for a in missing}
+            for i, a in enumerate(self.syms, start=1):
+                b = bufs.get(a)
+                if b is not None:
+                    b[i >> 3] |= 1 << (i & 7)
+            self.update((a, int.from_bytes(b, "little")) for a, b in bufs.items())
+            return
+        for a in missing:
+            table = bytearray(b"0" * 256)
+            if a < 256:
+                table[a] = ord("1")
+            self[a] = int(raw.translate(table) or b"0", 2) << 1
+
+    def __missing__(self, a: int) -> int:
+        self.fill((a,))
+        return self[a]
+
+
+def position_masks(syms: tuple[int, ...], wanted: Iterable[int]) -> _PositionMasks:
+    """Mask of the positions (1-based) holding symbol a, for each a in wanted;
+    other symbols' masks are built when first looked up."""
+    masks = _PositionMasks(syms)
+    masks.fill(wanted)
+    return masks
+
+
+def _dfa_sigma(masks: _PositionMasks, constraints: Iterable) -> int:
+    """The alphabet size to normalize the constraints against.
+
+    Only a DFA needs its symbols to cover the word's, so without one this
+    is 0 and the word is not read.  Otherwise it is the fewest symbols of
+    any DFA when the word's byte form holds no larger id, decided by one
+    C-level delete, and the word's largest id, which normalize refuses with
+    its usual message, when it does or the word has no byte form."""
+    distinct = {id(c): c for c in constraints}.values()
+    dfas = {id(d): d for d in map(constraint_dfa, distinct) if d is not None}
+    if not dfas:
+        return 0
+    need = min(d.num_symbols for d in dfas.values())
+    raw = masks.top_first()
+    if raw is not None and (need >= 255 or not raw.translate(None, bytes(range(need + 1)))):
+        return need
+    return max(masks.syms, default=0)
 
 
 def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
@@ -307,10 +401,10 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
-    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
+    syms = w.symbols
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(_PositionMasks(syms), gs.constraints))
     if infeasible:
         return None
-    syms = w.symbols
     n = len(syms)
     p = gs.pattern.symbols
     k = len(p)
@@ -432,11 +526,18 @@ class GapStep:
     A DFA gap with a real window reaches through one of two engines, fixed
     at construction by one cost rule: the bit-parallel step (_bit_sweep)
     when (hi+1) * states * symbols is at most _BIT_PARALLEL_MAX_COST, else
-    the trace sweep (_window_sweep).  The bit-parallel step's transition
-    masks are built on its first call, from posmask: the word's position
-    masks by symbol, which it completes in place, so steps that share one
-    dict build each symbol's mask once.  pred and reach_counts do not
-    depend on the engine.
+    the trace sweep (_window_sweep).  The bit-parallel step reads
+    self.block = b word symbols per step: b = _BLOCK_SYMBOLS when
+    states <= 4 * symbols and 2 * states**2 <= (hi - 4b) * symbols, else 1,
+    so that the block tables are built only where they pay on one call.
+    Its tables are built on its first call, from posmask: the word's
+    position masks by symbol (_PositionMasks), which it completes in
+    place, so steps that share one dict build each symbol's mask once.
+    Beside the one-symbol masks (into, at most states * symbols masks of
+    n+1 bits), b > 1 adds at most states**2 block masks and (b-1) * states
+    end masks; under the rule's states <= 4 * symbols that is at most
+    (4 + (b-1) / symbols) times into's bound.  pred and reach_counts do
+    not depend on the engine.
 
     A DFA gap with a vacuous window reaches through one sweep over sets of
     DFA states (_sweep).  Its set always lies inside R, the states
@@ -448,7 +549,7 @@ class GapStep:
     word from R alone.
     """
 
-    def __init__(self, syms: tuple[int, ...], c, posmask: Optional[dict[int, int]] = None) -> None:
+    def __init__(self, syms: tuple[int, ...], c, posmask: Optional[_PositionMasks] = None) -> None:
         self.syms = syms
         self.n = n = len(syms)
         self.full = (1 << (n + 1)) - 2
@@ -460,8 +561,19 @@ class GapStep:
         self.bit_parallel = self.windowed and (
             (self.hi + 1) * dfa.num_states * dfa.num_symbols <= _BIT_PARALLEL_MAX_COST
         )
-        self.posmask = {} if posmask is None else posmask
+        states, symbols = dfa.num_states, dfa.num_symbols
+        self.block = (
+            _BLOCK_SYMBOLS
+            if self.bit_parallel
+            and states <= 4 * symbols
+            and 2 * states * states <= (self.hi - 4 * _BLOCK_SYMBOLS) * symbols
+            else 1
+        )
+        self.posmask = _PositionMasks(syms) if posmask is None else posmask
+        # the tables of _bit_sweep, built on its first call
         self.into: Optional[list[tuple[int, tuple[tuple[int, int], ...]]]] = None
+        self.blocks: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        self.ends: list[tuple[tuple[int, int], ...]] = []
         self.settled: Optional[int] = None  # R, or -1 when R is not a fixpoint
         self.q0 = 1 << dfa.initial
         self.fin = sum(1 << q for q in dfa.finals)
@@ -548,62 +660,139 @@ class GapStep:
         return _from_flags(out)
 
     def _bit_tables(self) -> None:
-        """For each state q2 from which a final state is reachable, the pairs
-        (q, m): m is the mask of the positions whose symbol moves q to q2."""
+        """The tables of _bit_sweep.  Only pairs (q, q2) with q reachable from
+        the initial state and a final state reachable from q2 are kept; L is
+        the set of such q2, and a table of pairs lists, per q2 in L, the
+        (q, m) with m not empty.
+
+        into: bit p of m is set when the symbol at p moves q to q2.
+        blocks: the same for the b symbols from p, composed from into by
+        binary powering (_compose).  ends[s], 0 < s < b: the pairs (q, m)
+        where bit p of m is set when the s symbols from p move q into a
+        final state.  into and blocks hold at most states * |L| masks each,
+        and ends (b-1) * |L|, all of n+1 bits; for b = 1 blocks is into."""
         symbols = range(1, len(self.moves))
-        live = 0
-        grown = self.fin
-        while grown != live:
-            live = grown
+        live = reached = 0
+        grown, seen = self.fin, self.q0
+        while grown != live or seen != reached:
+            live, reached = grown, seen
             for a in symbols:
                 grown |= self._preimage(a, live)
-        pos = self.posmask
-        missing = [a for a in symbols if a not in pos]
-        if missing:
-            pos.update(position_masks(self.syms, missing))
+                seen |= self._image(a, reached)
+        pos, b = self.posmask, self.block
+        pos.fill(symbols)
         into: dict[int, dict[int, int]] = {q2: {} for q2 in _iter_bits(live)}
         for a in symbols:
-            for q, q2 in enumerate(self.moves[a]):
-                if q2 in into and pos[a]:
-                    into[q2][q] = into[q2].get(q, 0) | pos[a]
-        self.into = [(q2, tuple(src.items())) for q2, src in into.items()]
+            if pos[a]:
+                for q, q2 in enumerate(self.moves[a]):
+                    if q2 in into and reached >> q & 1:
+                        into[q2][q] = into[q2].get(q, 0) | pos[a]
+        self.into = _pairs(into)
+        if b == 1:
+            self.blocks = self.into
+            return
+        # binary powering: power holds the masks of span symbols, block
+        # those of the width symbols taken so far
+        power, span, block, width, e = into, 1, None, 0, b
+        while e:
+            if e & 1:
+                block = power if block is None else _compose(block, width, power)
+                width += span
+            e >>= 1
+            if e:
+                power, span = _compose(power, span, power), 2 * span
+        self.blocks = _pairs(block)
+        # ends: one symbol into a final state, then one state further back
+        # for each longer s
+        end: dict[int, int] = {}
+        for q2 in self.dfa.finals:
+            for q, m in into[q2].items():
+                end[q] = end.get(q, 0) | m
+        self.ends = [()]
+        for s in range(1, b):
+            self.ends.append(tuple((q, m) for q, m in end.items() if m))
+            if s + 1 < b:
+                nxt: dict[int, int] = {}
+                for mid, m2 in end.items():
+                    m2 >>= 1
+                    for q, m in into[mid].items():
+                        nxt[q] = nxt.get(q, 0) | (m & m2)
+                end = nxt
 
     def _bit_sweep(self, mask: int) -> int:
         """Real window [lo, hi], bit-parallel over every start at once.
 
         S[q] is the mask of the next positions j+t+1 of the starts j whose
-        gap's first t symbols lead the DFA to q.  A step ANDs S[q] with the
-        mask of the positions whose symbol moves q to q2 and ORs the result
-        into S[q2], shifted once; states that cannot reach a final state are
-        not kept.  For t in [lo, hi] the final states' masks are ends.  Bits
-        are counted from the first start, so the masks span the starts and
-        at most hi+1 positions more; the steps stop after hi, or once every
-        mask is empty.
+        gap's first t symbols lead the DFA to q.  A block of b symbols ANDs
+        S[q] with the mask of the positions whose b symbols move q to q2
+        (blocks) and ORs the result into S[q2], shifted by b; states that
+        cannot reach a final state are not kept.  For t in [lo, hi] the
+        final states' masks are ends: a block at t ORs S[q] & ends[s][q]
+        into accumulator s, the ends at t+s, and each accumulator is
+        shifted by s once, after the last block.  The steps before lo take
+        whole blocks, then single symbols (into); the last block stops at
+        hi, and the steps stop early once every mask is empty.  Bits are
+        counted from base: the first start when shifting every table down
+        to it costs less than the bits it saves, else position 0.
         """
         if self.into is None:
             self._bit_tables()
-        lo, hi, finals = self.lo, self.hi, self.dfa.finals
+        lo, hi, b, n = self.lo, self.hi, self.block, self.n
         first = _lowest_bit(mask)
-        rows = [(q2, [(q, m >> first) for q, m in src]) for q2, src in self.into]
-        S = [0] * self.dfa.num_states
-        S[self.dfa.initial] = (mask >> first) << 1
-        out = 0
-        for t in range(hi + 1):
-            if t >= lo:
-                for q in finals:
-                    out |= S[q]
-            if t == hi:
-                break
+        base = first if first * (hi + 1) > (n - first) * b else 0
+
+        def shifted(pairs):
+            return [(q, m >> base) for q, m in pairs] if base else pairs
+
+        def rows(table):
+            return [(q2, shifted(src)) for q2, src in table] if base else table
+
+        def advance(S: list[int], table, width: int) -> list[int]:
             nxt = [0] * len(S)
-            for q2, src in rows:
+            for q2, src in table:
                 acc = 0
-                for q, pa in src:
-                    acc |= S[q] & pa
-                nxt[q2] = acc << 1
-            S = nxt
+                for q, m in src:
+                    acc |= S[q] & m
+                nxt[q2] = acc << width
+            return nxt
+
+        S = [0] * self.dfa.num_states
+        S[self.dfa.initial] = (mask >> base) << 1
+        t = 0
+        blocks = rows(self.blocks)
+        while t + b <= lo:
+            S = advance(S, blocks, b)
+            t += b
+            if not any(S):
+                return 0
+        if t < lo:
+            one = rows(self.into)
+            while t < lo:
+                S = advance(S, one, 1)
+                t += 1
+                if not any(S):
+                    return 0
+        ends = [shifted(pairs) for pairs in self.ends]
+        finals = self.dfa.finals
+        acc = [0] * b
+        while True:
+            for q in finals:
+                acc[0] |= S[q]
+            for s in range(1, min(b, hi - t + 1)):
+                got = acc[s]
+                for q, m in ends[s]:
+                    got |= S[q] & m
+                acc[s] = got
+            if t + b > hi:
+                break
+            S = advance(S, blocks, b)
+            t += b
             if not any(S):
                 break
-        return (out << first) & self.full
+        out = 0
+        for s, got in enumerate(acc):
+            out |= got << s
+        return (out << base) & self.full
 
     def _window_sweep(self, mask: int) -> int:
         """Real window [lo, hi]: one sweep with two kinds of DFA traces.
@@ -734,7 +923,7 @@ class GapStep:
 
 
 def gap_steps(
-    syms: tuple[int, ...], constraints: Iterable, posmask: Optional[dict[int, int]] = None
+    syms: tuple[int, ...], constraints: Iterable, posmask: Optional[_PositionMasks] = None
 ) -> list[GapStep]:
     """One GapStep per constraint of the word syms, built once per distinct
     constraint: gaps with the same window and the same DFA object share one
@@ -746,7 +935,7 @@ def gap_steps(
     distinct objects still share a step through the window key.  The steps
     share posmask (see GapStep), one dict when none is given."""
     n = len(syms)
-    posmask = {} if posmask is None else posmask
+    posmask = _PositionMasks(syms) if posmask is None else posmask
     built: dict[tuple[tuple[int, int], int], GapStep] = {}
     by_object: dict[int, GapStep] = {}
     steps = []
@@ -771,12 +960,12 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
-    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
+    syms = w.symbols
+    posmask = _PositionMasks(syms)
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(posmask, gs.constraints))
     if infeasible:
         return None
-    syms = w.symbols
     blocks, joints = pattern_blocks(gs)
-    posmask = position_masks(syms, gs.pattern.symbols)
     # one end mask per distinct block: a many-gap pattern repeats few blocks
     block_ends: dict[tuple[int, ...], int] = {}
     for block in blocks:
@@ -927,7 +1116,8 @@ def match_with_equalities(
     every class fixed to its length, from match_naive, which is no slower
     than match on these length-only leaves.
     """
-    gs, infeasible = normalize(gs, len(w), max(w.symbols, default=0))
+    posmask = _PositionMasks(w.symbols)
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(posmask, gs.constraints))
     for c in gs.constraints:
         if not isinstance(c, (ZeroGap, LengthGap)):
             raise UsageError("equality matching handles zero and length constraints only")
@@ -939,7 +1129,6 @@ def match_with_equalities(
     k = len(p)
     classes = [cl for cl in eq.classes(k - 1) if len(cl) >= 2]
     owner = {g: i for i, cl in enumerate(classes) for g in cl}
-    posmask = position_masks(w.symbols, p)
     root = [constraint_window(c, len(w)) for c in gs.constraints]
     F = [0, posmask[p[0]]] + [0] * (k - 1)
     B = [0] * k + [posmask[p[-1]]]

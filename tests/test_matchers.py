@@ -237,18 +237,28 @@ def test_match_dispatcher_picks_an_algorithm():
 # the bit-parallel step (inf) on every DFA gap with a real window
 ENGINES = (0, math.inf)
 
+# a block size for the bit-parallel step that is not a power of two, and
+# (crossover, block size) for the three windowed paths: the trace sweep,
+# and the bit-parallel step with one symbol and with BLOCK symbols a step
+BLOCK = 3
+PATHS = ((0, 1), (math.inf, 1), (math.inf, BLOCK))
+
 
 @contextlib.contextmanager
-def windowed_engine(max_cost):
+def windowed_engine(max_cost, block=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matchers, "_BIT_PARALLEL_MAX_COST", max_cost)
+        if block is not None:
+            mp.setattr(matchers, "_BLOCK_SYMBOLS", block)
         yield
 
 
-def forced_step(syms, c, max_cost) -> GapStep:
-    with windowed_engine(max_cost):
+def forced_step(syms, c, max_cost, block=None) -> GapStep:
+    with windowed_engine(max_cost, block):
         step = GapStep(syms, c)
     assert step.bit_parallel == (step.windowed and max_cost > 0)
+    assert step.block in (1, block or matchers._BLOCK_SYMBOLS)
+    assert step.bit_parallel or step.block == 1
     return step
 
 
@@ -299,12 +309,13 @@ def test_dfa_gap_step_matches_quadratic_reference(data):
 
 
 def test_windowed_engines_agree_on_long_words():
-    # both sides of the crossover on words of a few hundred symbols: windows
+    # the three windowed paths on words of a few hundred symbols: windows
     # shorter and longer than the span of the starts, an unbounded hi, a DFA
     # whose dead state empties every mask early, and single starts
     rng = random.Random("windowed-engines")
     # "no symbol 2 in the gap": state 1 is dead
     no_two = Dfa(2, 0, frozenset({0}), ((0, 1, 0), (1, 1, 1)))
+    blocked = 0
     for _ in range(60):
         n = rng.randint(200, 400)
         sigma = rng.randint(2, 3)
@@ -313,14 +324,92 @@ def test_windowed_engines_agree_on_long_words():
         lo = rng.randint(1, 20)
         hi = rng.choice([INF, lo + rng.randint(0, 30), lo + rng.randint(n // 2, 2 * n)])
         c = RegLenGap(lo, hi, dfa)
-        sweep, bits = (forced_step(syms, c, max_cost) for max_cost in ENGINES)
-        assert bits.bit_parallel and not sweep.bit_parallel
+        sweep, single, block = (forced_step(syms, c, *path) for path in PATHS)
+        assert single.bit_parallel and single.block == 1 and not sweep.bit_parallel
+        blocked += block.block == BLOCK
         starts = sorted(rng.sample(range(n + 1), rng.randint(1, 40)))
         dense = sum(1 << j for j in range(n + 1) if rng.random() < 0.3)
         masks = [sum(1 << j for j in starts), dense, 1 << 0, 1 << n]
         masks += [1 << rng.randint(0, n) for _ in range(5)]
         for mask in masks:
-            assert bits.reach(mask) == sweep.reach(mask), (n, lo, hi, mask)
+            want = sweep.reach(mask)
+            assert single.reach(mask) == want and block.reach(mask) == want, (n, lo, hi, mask)
+    # the block rule leaves short windows of the larger DFAs at one symbol
+    assert blocked >= 40, blocked
+
+
+def _streamed_least(syms, mask, lo, hi, dfa) -> dict[int, int]:
+    """Each reachable end i with its least start, by running the DFA from
+    every start of mask over at most hi symbols."""
+    n = len(syms)
+    least = {}
+    for j in range(n + 1):
+        if mask >> j & 1:
+            q = dfa.initial
+            for i in range(j + 1, min(n, j + hi + 1) + 1):
+                # q is the state after the gap w[j+1..i-1]
+                if i - 1 - j >= lo and q in dfa.finals:
+                    least.setdefault(i, j)
+                q = dfa.table[q][syms[i - 1] - 1]
+    return least
+
+
+def test_block_step_agrees_with_single_steps():
+    # the bit-parallel step with BLOCK symbols a step against one symbol a
+    # step, the quadratic reference and match_naive: lo below BLOCK, above
+    # it and a multiple of it, windows narrower than a block, windows that
+    # run past the end of the word, a DFA with a dead state, group and
+    # non-group tables, dense masks and single starts at both ends
+    rng = random.Random("block-step")
+    no_two = Dfa(2, 0, frozenset({0}), ((0, 1, 0), (1, 1, 1)))
+    b = BLOCK
+    wide = 22  # a window this wide gets blocks for up to 3 states over 2 symbols
+    shapes = ("lo < b", "lo > b", "lo = mb", "hi - lo < b")
+    for trial in range(96):
+        shape = shapes[trial % 4]
+        kind = ("dead", "group", "other")[trial // 4 % 3]
+        sigma = rng.randint(2, 3)
+        if kind == "dead":
+            dfa = no_two
+        else:
+            build = permutation_dfa if kind == "group" else random_dfa
+            dfa = build(rng, rng.randint(1, 3), sigma)
+        if shape == "lo < b":
+            lo = rng.randrange(b)
+            hi = rng.randint(wide, 40)
+        elif shape == "lo > b":
+            lo = b * rng.randint(1, 6) + rng.randint(1, b - 1)
+            hi = max(wide, lo + rng.randint(b, 20))
+        elif shape == "lo = mb":
+            lo = b * rng.randint(1, 8)
+            hi = max(wide, lo + rng.randint(0, 20))
+        else:
+            lo = rng.randint(wide, 30)
+            hi = lo + rng.randrange(b)
+        # a word shorter than hi clamps it (unless lo = 0, where that would
+        # leave no real window); every window of a start near the end runs
+        # past the word
+        n = rng.randint(max(wide, lo, hi + 1 if lo == 0 else 0), hi + 25)
+        syms = tuple(rng.randint(1, sigma) for _ in range(n))
+        c = RegLenGap(lo, hi, dfa)
+        single, block = (forced_step(syms, c, *path) for path in PATHS[1:])
+        assert block.block == b and single.block == 1, (shape, kind, lo, hi, n)
+        dense = sum(1 << j for j in range(n + 1) if rng.random() < 0.3)
+        masks = [dense, (1 << (n + 1)) - 1, 1 << 0, 1 << n, 1 << (n - 1), 1 << rng.randint(0, n)]
+        for mask in masks:
+            least = _streamed_least(syms, mask, lo, min(hi, n), dfa)
+            want = sum(1 << i for i in least)
+            assert single.reach(mask) == want, (shape, kind, lo, hi, n)
+            assert block.reach(mask) == want, (shape, kind, lo, hi, n)
+            for i in rng.sample(sorted(least), min(len(least), 5)):
+                if least[i] >= 1:
+                    assert block.pred(mask, i) == least[i]
+        gs = GappedSequence(Word((rng.randint(1, sigma), rng.randint(1, sigma))), (c,))
+        want = match_naive(Word(syms), gs)
+        for path in PATHS:
+            with windowed_engine(*path):
+                got = match(Word(syms), gs)
+            assert got == want, (shape, kind, path)
 
 
 def _permuted_reachable(dfa: Dfa) -> int:
@@ -835,6 +924,42 @@ def test_equality_matching_rejects_dfa_constraints():
     gs = GappedSequence(w("ab"), (RegularGap(sigma_star_dfa(3)),))
     with pytest.raises(UsageError):
         match_with_equalities(w("ab"), gs, EqualitySystem.from_pairs([]))
+
+
+def test_dfa_coverage_refusal_names_the_largest_symbol():
+    # only a DFA must cover the word's symbols; coverage is decided from the
+    # word's byte form, or by the largest id when an id is past a byte, and
+    # a refusal names the word's largest symbol either way
+    free = EqualitySystem.from_pairs([])
+    cases = [
+        (Word((1, 3, 2, 3)), sigma_star_dfa(2), "covers 2 symbols, the alphabet has 3"),
+        (Word((1, 300, 256, 2)), sigma_star_dfa(299), "covers 299 symbols, the alphabet has 300"),
+    ]
+    for word, dfa, message in cases:
+        for c in (RegularGap(dfa), RegLenGap(0, 2, dfa)):
+            gs = GappedSequence(Word((1, 2)), (c,))
+            for fn in (match, match_naive):
+                with pytest.raises(InputError, match=message):
+                    fn(word, gs)
+            with pytest.raises(InputError, match=message):
+                match_with_equalities(word, gs, free)
+    # the first DFA, in gap order, that misses a symbol is the one named
+    two = GappedSequence(Word((1, 2, 3)), (RegularGap(sigma_star_dfa(3)), RegularGap(sigma_star_dfa(2))))
+    with pytest.raises(InputError, match="covers 2 symbols, the alphabet has 3"):
+        match(Word((3, 1, 2, 3)), two)
+    # DFAs that cover the word: ids past a byte, and 255 symbols or more,
+    # which cover every byte
+    for word, dfa in [(Word((1, 300, 256, 2)), sigma_star_dfa(300)), (Word((1, 255, 2)), sigma_star_dfa(255))]:
+        gs = GappedSequence(Word((1, 2)), (RegularGap(dfa),))
+        assert match(word, gs) == match_naive(word, gs) == Embedding((1, len(word)))
+    # a length-only pattern over ids past a byte still matches, and the
+    # word is not read to check a coverage no constraint needs
+    word, gs = Word((300, 1, 257)), GappedSequence(Word((300, 257)), (LengthGap(0, 2),))
+    for fn in (match, match_naive, lambda x, y: match_with_equalities(x, y, free)):
+        assert fn(word, gs) == Embedding((1, 3))
+    masks = matchers._PositionMasks(word.symbols)
+    assert matchers._dfa_sigma(masks, gs.constraints) == 0
+    assert masks._top_first is False
 
 
 def test_equality_matching_checks_dfa_coverage_first():
