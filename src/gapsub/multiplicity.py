@@ -15,17 +15,21 @@ the batch is one sweep of the word whatever its size, so callers hand it
 whole layers.  count_embeddings steps one vector along the pattern,
 parikh_k searches its prefixes depth-first, in lexicographic order, over
 chunks of consecutive prefixes of one length, one batch per chunk, and
-path_equivalent spreads each layer's independent vectors as one batch
-per automaton, for all symbols at once.
-Equivalence of two counting automata is decided exactly, without
-enumerating strings, by a basis computation over the reachable
-path-count vectors (Tzeng, SIAM J. Comput. 1992), one layer of prefixes
-of one length at a time: each layer has its own basis of at most
-|w1| + |w2| + 2 rows, and the last layer, which has no successors, is
-compared without rows.  The basis rows hold the unpacked lanes, and
-arithmetic is integer and exact, so counts beyond machine range are
-handled verbatim.  The witness of a difference is the least length-k
-string, in lexicographic order, whose counts differ.
+path_equivalent spreads each layer's kept vectors as one batch per
+automaton, for all symbols at once.
+Equivalence of two counting automata is decided exactly by a basis
+computation over the reachable path-count vectors (Tzeng, SIAM J. Comput.
+1992), one layer of prefixes of one length at a time: each layer has its
+own basis of at most D = |w1| + |w2| + 2 rows.  Near the last layer a
+basis prunes little, so once a layer r layers above the last holds
+L >= sigma**r vectors and L * sigma**r <= sigma * r * D (sigma the
+distinct symbols of the two words), it and every layer below enumerate
+their prefixes without inserts, at most 2 * sigma * r * D vectors in all;
+the last layer, which has no successors, is compared without rows.  The
+basis rows hold the unpacked lanes, and arithmetic is integer and exact,
+so counts beyond machine range are handled verbatim.  The witness of a
+difference is the least length-k string, in lexicographic order, whose
+counts differ.
 """
 
 from __future__ import annotations
@@ -339,6 +343,17 @@ def _insert_basis(vec: dict[int, int], basis: dict[int, dict[int, int]]) -> bool
     return False
 
 
+def _enumerate_rest(sigma: int, rest: int, size: int, dim: int) -> bool:
+    """Whether a layer of size vectors, rest layers above the last, and every
+    layer below it keep all their vectors without basis inserts: when it
+    holds at least sigma**rest vectors, so a basis would prune little, and
+    size * sigma**rest, which bounds each layer below it, is at most
+    sigma * rest * dim."""
+    # past size's bit length sigma**rest > size for sigma > 1, so stop there
+    grown = sigma ** min(rest, size.bit_length())
+    return grown <= size and size * grown <= sigma * rest * dim
+
+
 def path_equivalent(
     n1: CountingNfa, n2: CountingNfa
 ) -> tuple[bool, Optional[Word]]:
@@ -347,36 +362,48 @@ def path_equivalent(
     Breadth-first over word prefixes, one layer per length, keeping the
     vector of path counts per state of the disjoint union (coordinate i of
     n1, len(n1.word) + 1 + i of n2); the difference of the accepted counts
-    must vanish on every vector.  A vector in the span of its layer's basis
-    adds nothing (path counts are linear in the vector), so only independent
-    vectors spawn successors: each layer has a basis of at most
-    len(n1.word) + len(n2.word) + 2 rows, and the last, at depth
+    must vanish on every vector.  A vector in the span of its layer's basis,
+    which holds vectors of lexicographically smaller prefixes, adds nothing
+    (path counts are linear in the vector, so where one of its strings
+    differs a smaller string differs too), and only independent vectors
+    spawn successors: a layer has a basis of at most D = len(n1.word) +
+    len(n2.word) + 2 rows.  Once a layer, r layers above the last, holds
+    L >= sigma**r vectors and L * sigma**r <= sigma * r * D (_enumerate_rest;
+    sigma is the number of distinct symbols of the two words), it and every
+    layer below pass all their vectors on, at most 2 * sigma * r * D vectors
+    in all.  The last layer, at depth
     max(n1.k, n2.k), is compared without rows.  Error states never accept
     and are left out.  Returns the decision and, when counts differ, the
     first string in length-then-lexicographic order whose counts differ.
     """
     offset2 = len(n1.word) + 1
     last = max(n1.k, n2.k)
+    sigma = max(1, len(set(n1.word.symbols) | set(n2.word.symbols)))
+    dim = len(n1.word) + len(n2.word) + 2
+    enumerating = False
     layer = [((), n1.start(), n2.start())]
     for depth in range(last + 1):
+        enumerating = enumerating or _enumerate_rest(sigma, last - depth, len(layer), dim)
         basis: dict[int, dict[int, int]] = {}
-        independent = []
+        kept = []
         for word, v1, v2 in layer:
             if n1.accepted(v1) != n2.accepted(v2):
                 return (False, Word(word))
             if depth == last:
                 continue
-            flat = dict(enumerate(n1.counts(v1))) if v1 else {}
-            if v2:
-                flat.update(enumerate(n2.counts(v2), offset2))
-            if _insert_basis(flat, basis):
-                independent.append((word, v1, v2))
-        # each automaton spreads the layer's independent vectors as one batch
-        s1 = n1.step_all([v1 for _, v1, _ in independent])
-        s2 = n2.step_all([v2 for _, _, v2 in independent])
+            if not enumerating:
+                flat = dict(enumerate(n1.counts(v1))) if v1 else {}
+                if v2:
+                    flat.update(enumerate(n2.counts(v2), offset2))
+                if not _insert_basis(flat, basis):
+                    continue
+            kept.append((word, v1, v2))
+        # each automaton spreads the layer's kept vectors as one batch
+        s1 = n1.step_all([v1 for _, v1, _ in kept])
+        s2 = n2.step_all([v2 for _, _, v2 in kept])
         layer = [
             (word + (a,), b1.get(a), b2.get(a))
-            for (word, _, _), b1, b2 in zip(independent, s1, s2)
+            for (word, _, _), b1, b2 in zip(kept, s1, s2)
             for a in sorted(b1.keys() | b2.keys())
         ]
     return (True, None)

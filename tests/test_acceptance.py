@@ -5,7 +5,8 @@ examples, the README's library example and its CLI transcript come out
 exactly, every matcher agrees with the reference matcher on large random and
 exhaustive input grids, the hardness reduction chains agree with brute-force
 solvers of the source problems, multiplicity comparison is exact beyond
-machine-word sizes and its basis work is bounded per layer, the tuned matcher
+machine-word sizes, its basis work is bounded per layer and its spreads
+polynomially, it gives the known answers on Thue-Morse pairs, the tuned matcher
 scales near-linearly in both word length and automaton size, classical
 containment agrees with plain enumeration, and oversized analyses fail loudly
 instead of truncating.
@@ -13,12 +14,14 @@ instead of truncating.
 Every test prints a one-line summary and enforces its own wall-clock budget.
 """
 
+import gc as _gc
 import itertools
 import math
 import pathlib
 import random
 import re
 import shlex
+import statistics
 import time
 
 import pytest
@@ -74,8 +77,8 @@ from gapsub import (
     verify_embedding,
 )
 from gapsub import multiplicity
-from gapsub.cli import bench_match, run_cli
-from gapsub.matchers import match_naive
+from gapsub.cli import bench_instance, bench_match, run_cli
+from gapsub.matchers import GapStep, match_naive
 
 FREE = LengthGap(0, INF)
 
@@ -421,6 +424,93 @@ def test_multiplicity_basis_work_is_bounded_per_layer(monkeypatch):
     print(f"pass: multiplicity equivalence, sigma={sigma}, k={k}: " + "; ".join(rows))
 
 
+def test_multiplicity_spread_work_is_polynomial(monkeypatch):
+    # a layer with a basis keeps at most D = 2n + 2 independent vectors,
+    # and once the layers below are enumerated they hold at most
+    # 2 * sigma * k * D vectors together, so the two automata spread at most
+    # 2 * (k * D + 2 * sigma * k * D) vectors.  Words of one symbol have
+    # one string per length: they spread one vector per layer
+    t0 = time.perf_counter()
+    spread = []
+    reach_counts = GapStep.reach_counts
+
+    def counted(self, vecs, width):
+        spread.append(len(vecs))
+        return reach_counts(self, vecs, width)
+
+    monkeypatch.setattr(GapStep, "reach_counts", counted)
+    rng = random.Random("multspread")
+    rows = []
+    cases = [
+        (4, 5, 320, LengthGap(0, 3)),
+        (3, 6, 320, FREE),
+        (2, 8, 160, FREE),
+        (2, 14, 60, FREE),  # enumerating every layer would pass the bound
+    ]
+    for sigma, k, n, gap in cases:
+        word = Word(tuple(rng.randint(1, sigma) for _ in range(n)))
+        spread.clear()
+        assert equivalence_with_multiplicities(word, word, (gap,) * (k - 1)) == (True, None)
+        dim = 2 * n + 2
+        assert sum(spread) <= 2 * (k * dim + 2 * sigma * k * dim), (sigma, k, n, sum(spread))
+        rows.append(f"sigma={sigma} k={k} n={n}: {sum(spread)} vectors")
+    ones, fewer = Word((2,) * 200), Word((2,) * 199)
+    for k in (2, 30):
+        gc = (FREE,) * (k - 1)
+        spread.clear()
+        assert equivalence_with_multiplicities(ones, ones, gc) == (True, None)
+        assert spread == [1] * (2 * (k - 1))
+        assert equivalence_with_multiplicities(ones, fewer, gc) == (False, Word((2,) * k))
+    dt = time.perf_counter() - t0
+    assert dt < 60.0
+    print("pass: multiplicity spreads polynomially bounded: " + "; ".join(rows) + f" in {dt:.1f}s")
+
+
+def _thue_morse(m: int, first: int) -> Word:
+    syms = [first]
+    for _ in range(m):
+        syms = [s for x in syms for s in (x, 3 - x)]
+    return Word(tuple(syms))
+
+
+def test_thue_morse_multiplicity_known_answers():
+    # mu^m(a) and mu^m(b) are m-binomially but not (m+1)-binomially
+    # equivalent (Ochsenschlaeger 1981; Rigo & Salimov, TCS 2015): under
+    # free gaps they are multiplicity-equivalent at k = m, and at k = m + 1
+    # the least string whose counts differ is a^m b.  At n = 128 and 256
+    # no brute force reaches these answers
+    t0 = time.perf_counter()
+    for m in (7, 8):
+        a, b = _thue_morse(m, 1), _thue_morse(m, 2)
+        assert len(a) == 2**m and a != b
+        assert equivalence_with_multiplicities(a, b, (FREE,) * (m - 1)) == (True, None)
+        wit = GappedSequence(Word((1,) * m + (2,)), (FREE,) * m)
+        assert equivalence_with_multiplicities(a, b, wit.constraints) == (False, wit.pattern)
+        assert count_embeddings(a, wit) != count_embeddings(b, wit)
+    dt = time.perf_counter() - t0
+    assert dt < 30.0
+    print(f"pass: Thue-Morse pairs at n = 128, 256 equivalent at k = m, not at m + 1, in {dt:.1f}s")
+
+
+def _round_robin_medians(instances, trials: int) -> list[float]:
+    """Median ns of match per instance: an untimed warm-up each, then
+    trials rounds over every instance with the garbage collector off, so a
+    slow or fast spell of the host falls on every instance alike."""
+    for w, gs in instances:
+        assert match(w, gs) is not None
+    samples = [[] for _ in instances]
+    _gc.disable()
+    try:
+        for _ in range(trials):
+            for (w, gs), times in zip(instances, samples):
+                t = time.perf_counter_ns()
+                match(w, gs)
+                times.append(time.perf_counter_ns() - t)
+    finally:
+        _gc.enable()
+    return [statistics.median(times) for times in samples]
+
+
 def test_reglen_runtime_scales_near_linearly():
     t0 = time.perf_counter()
     sizes = [10_000, 20_000, 40_000, 80_000]
@@ -429,13 +519,13 @@ def test_reglen_runtime_scales_near_linearly():
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     assert all(r <= 2.6 for r in ratios), ratios
 
-    base_row = bench_match("reglen", [20_000], trials=3, k=3, states=2, seed=0)[0]
-    base_per_state = base_row["mean_ns"] / base_row["states"]
-    per_state = {}
-    for s in (4, 8, 16, 32, 64):
-        row = bench_match("reglen", [20_000], trials=3, k=3, states=s, seed=0)[0]
-        per_state[s] = row["mean_ns"] / row["states"]
-        assert per_state[s] <= 1.3 * base_per_state, (s, per_state[s], base_per_state)
+    # the 2-state baseline is timed in the same round-robin loop as the
+    # 4- to 64-state rows, so host drift does not move their ratio
+    instances = [bench_instance(20_000, 3, s, "reglen", 0) for s in (2, 4, 8, 16, 32, 64)]
+    medians = _round_robin_medians(instances, trials=3)
+    base_per_state, *per_state = (t / gs.states for t, (_, gs) in zip(medians, instances))
+    for (_, gs), cost in zip(instances[1:], per_state):
+        assert cost <= 1.3 * base_per_state, (gs.states, cost, base_per_state)
     dt = time.perf_counter() - t0
     print(
         "pass: doubling ratios "

@@ -69,11 +69,7 @@ def test_count_edge_cases():
     assert count_embeddings(w("aaa"), gs) == 0
 
 
-def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
-    # the word against itself, k = 3, sigma = 2: two independent path-count
-    # vectors below the last layer at depth 1 and three at depth 2, in each
-    # of the two automata, take one gap spread apiece, in one kernel call
-    # per layer and automaton; a spread per symbol would make 20
+def _count_spreads(monkeypatch):
     calls = []
     reach_counts = GapStep.reach_counts
 
@@ -82,10 +78,58 @@ def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
         return reach_counts(self, vecs, width)
 
     monkeypatch.setattr(GapStep, "reach_counts", counted)
+    return calls
+
+
+def test_multiplicity_equivalence_spreads_each_vector_once(monkeypatch):
+    # the word against itself, k = 3, sigma = 2, with a basis on every
+    # layer: two independent path-count vectors below the last layer at
+    # depth 1 and three at depth 2, in each of the two automata, take one
+    # gap spread apiece, in one kernel call per layer and automaton; a
+    # spread per symbol would make 20
+    calls = _count_spreads(monkeypatch)
+    monkeypatch.setattr(multiplicity, "_enumerate_rest", lambda *args: False)
     word = w("abbaba")
     assert equivalence_with_multiplicities(word, word, (LengthGap(0, 2),) * 2) == (True, None)
     assert sum(len(vecs) for _, vecs in calls) == 10
     assert len(calls) == 4
+
+
+def test_multiplicity_equivalence_enumerates_the_bottom_layer(monkeypatch):
+    # the same instance under the default rule: depth 2, one layer above
+    # the last, holds 4 >= 2**1 vectors and 4 * 2**1 <= 2 * 1 * 14, so it
+    # passes all four on without inserts, where the basis kept three
+    calls = _count_spreads(monkeypatch)
+    word = w("abbaba")
+    assert equivalence_with_multiplicities(word, word, (LengthGap(0, 2),) * 2) == (True, None)
+    assert [len(vecs) for _, vecs in calls] == [2, 2, 4, 4]
+
+
+def test_enumeration_rule_and_its_reach(monkeypatch):
+    rule = multiplicity._enumerate_rest
+    # sigma**rest <= size, then size * sigma**rest <= sigma * rest * dim
+    assert rule(2, 2, 4, 14) and not rule(2, 2, 3, 14)
+    assert rule(2, 1, 14, 14) and not rule(2, 1, 15, 14)
+    # one symbol: one vector a layer, and no power as wide as rest
+    assert rule(1, 10**9, 1, 2) and not rule(4, 10**9, 3, 100)
+    # once the rule holds for a layer, no layer below it asks again or
+    # inserts into a basis
+    events = []
+    insert = multiplicity._insert_basis
+
+    def asked(sigma, rest, size, dim):
+        events.append(rest)
+        return rest == 2
+
+    def inserted(vec, basis):
+        events.append("insert")
+        return insert(vec, basis)
+
+    monkeypatch.setattr(multiplicity, "_enumerate_rest", asked)
+    monkeypatch.setattr(multiplicity, "_insert_basis", inserted)
+    word = w("abbaba")
+    assert equivalence_with_multiplicities(word, word, FREE * 3) == (True, None)
+    assert events == [4, "insert", 3, "insert", "insert", 2]
 
 
 def _count_sweeps(monkeypatch):
@@ -263,6 +307,37 @@ def test_equivalence_with_multiplicities_oracle(data):
     assert ok == (not differ)
     # the witness is canonical: the least length-k string whose counts differ
     assert (wit is None) if ok else (wit.symbols == differ[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_basis_and_enumeration_agree_with_bruteforce(data):
+    # mostly equal or one-symbol-flipped word pairs, where the basis prunes
+    # most: a basis on every layer, enumeration of every layer and the
+    # default rule each give brute force's decision and least witness
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    sigma = rng.randint(1, 3)
+    k = rng.randint(1, 6)
+    gc = tuple(_any_gap(rng, sigma) for _ in range(k - 1))
+    wa = [rng.randint(1, sigma) for _ in range(rng.randint(0, 9))]
+    wb = list(wa)
+    pick = rng.random()
+    if pick < 0.45 and wb:
+        i = rng.randrange(len(wb))
+        wb[i] = wb[i] % sigma + 1
+    elif pick > 0.9:
+        wb = [rng.randint(1, sigma) for _ in range(rng.randint(0, 9))]
+    wa, wb = Word(tuple(wa)), Word(tuple(wb))
+    pa, pb = brute_parikh(wa, gc, sigma, k), brute_parikh(wb, gc, sigma, k)
+    differ = sorted(p for p in pa.keys() | pb.keys() if pa.get(p, 0) != pb.get(p, 0))
+    want = (True, None) if not differ else (False, Word(differ[0]))
+    if differ:
+        gs = GappedSequence(want[1], gc)
+        assert len(brute_embeddings(wa, gs)) != len(brute_embeddings(wb, gs))
+    for rule in (lambda *args: False, lambda *args: True, multiplicity._enumerate_rest):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiplicity, "_enumerate_rest", rule)
+            assert equivalence_with_multiplicities(wa, wb, gc) == want
 
 
 @settings(max_examples=150, deadline=None)
