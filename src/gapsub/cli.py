@@ -1,4 +1,4 @@
-"""Command-line interface, file formats, and the benchmark harness.
+"""Command-line interface and file formats.
 
 All files are line-oriented ASCII; a line starting with '#' is a
 comment.  Content always follows a directive keyword, so glyphs such as
@@ -26,15 +26,9 @@ never printed on exit 2).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import gc as _gc  # bare 'gc' names constraint tuples in this module
-import io
 import os
-import random
-import statistics
 import sys
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -460,103 +454,6 @@ def parse_eq_text(text: str) -> EqualitySystem:
 
 
 # ---------------------------------------------------------------------------
-# benchmark harness
-
-
-def _bench_dfa(states: int, sigma: int, rng: random.Random) -> Dfa:
-    # all states final: accepts everything while exercising full-size traces
-    table = tuple(
-        tuple(rng.randrange(states) for _ in range(sigma)) for _ in range(states)
-    )
-    return Dfa(states, 0, frozenset(range(states)), table)
-
-
-def bench_instance(
-    n: int, k: int, states: int, algo: str, seed: int
-) -> tuple[Word, GappedSequence]:
-    """Seeded instance built to match, so every gap step does real work.
-
-    algo names the constraint class of the gaps: length, regular or
-    reglen.  regular gaps time the vacuous-window sweep; it stops at its
-    fixpoint when every symbol permutes the reachable states.  A one-state
-    DFA always does, so --states 1 times little more than that exit; of
-    the random tables built here, about 2 in 5 two-state ones, 1 in 7
-    four-state ones and almost no 16-state ones do.  reglen gaps have the
-    real window [4, 64], so they time the windowed DFA step rather than
-    the vacuous-window sweep: the bit-parallel engine up to 246 DFA
-    states, where (64+1) * states * 2 stays within matchers' cost rule,
-    and the trace sweep beyond.  Pattern and
-    constraints depend only on (seed, k, states): sizes in a sweep share
-    one instance shape and differ just in the word, keeping timing ratios
-    free of shape-to-shape variance.
-    """
-    sigma = 2
-    shape = random.Random(f"shape:{seed}:{k}:{states}:{algo}")
-    p = tuple(shape.randint(1, sigma) for _ in range(k))
-    cons: list[GapConstraint] = []
-    for _ in range(k - 1):
-        if algo == "length":
-            cons.append(LengthGap(0, INF))
-        elif algo == "regular":
-            cons.append(RegularGap(_bench_dfa(states, sigma, shape)))
-        else:
-            cons.append(RegLenGap(4, 64, _bench_dfa(states, sigma, shape)))
-    wrng = random.Random(f"word:{seed}:{n}")
-    syms = tuple(wrng.randint(1, sigma) for _ in range(n))
-    return Word(syms), GappedSequence(Word(p), tuple(cons))
-
-
-def bench_match(
-    algo: str,
-    sizes: Sequence[int],
-    trials: int = 3,
-    k: int = 3,
-    states: int = 2,
-    seed: int = 0,
-) -> list[dict]:
-    """Median wall time of match over seeded instances per size.
-
-    algo picks the constraint class of the instance (see bench_instance).
-    Each size gets one untimed warm-up call.  The timed calls run with the
-    garbage collector off and round-robin over the sizes, so a slow or fast
-    spell of the host falls on every size alike instead of skewing the
-    ratios between sizes.  The column is named mean_ns for format
-    stability; the value recorded is the median over the trials.
-    """
-    for flag, value in [("--trials", trials), ("--k", k), ("--states", states)] + [
-        ("--sizes value", n) for n in sizes
-    ]:
-        if value < 1:
-            raise InputError(f"{flag} must be at least 1, not {value}")
-    instances = [bench_instance(n, k, states, algo, seed) for n in sizes]
-    for w, gs in instances:
-        if match(w, gs) is None:
-            raise GapsubError("benchmark instance unexpectedly failed to match")
-    samples: list[list[int]] = [[] for _ in instances]
-    enabled = _gc.isenabled()
-    _gc.disable()
-    try:
-        for _ in range(trials):
-            for (w, gs), times in zip(instances, samples):
-                t0 = time.perf_counter_ns()
-                match(w, gs)
-                times.append(time.perf_counter_ns() - t0)
-    finally:
-        if enabled:
-            _gc.enable()
-    return [
-        {
-            "algo": algo,
-            "n": n,
-            "k": k,
-            "states": gs.states,
-            "mean_ns": int(statistics.median(times)),
-        }
-        for n, (_w, gs), times in zip(sizes, instances, samples)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -644,7 +541,7 @@ def _cmd_classic_con(args) -> int:
 
 
 def _write(path: str, text: str) -> None:
-    # newline="" writes text's line endings verbatim, such as csv's \r\n
+    # newline="" keeps gen files' \n line endings on every platform
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
@@ -698,25 +595,6 @@ def _cmd_gen(args) -> int:
         )
     else:
         raise InputError(f"unknown generator {kind!r}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    sizes = [_int(tok, "--sizes value") for tok in args.sizes.split(",") if tok]
-    if not sizes:
-        raise InputError("--sizes needs a comma-separated list of word lengths")
-    rows = bench_match(
-        args.algo, sizes, trials=args.trials, k=args.k, states=args.states, seed=args.seed
-    )
-    fields = ["algo", "n", "k", "states", "mean_ns"]
-    if args.csv:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-        _write(args.csv, buf.getvalue())
-    for row in rows:
-        print(",".join(str(row[f]) for f in fields))
     return 0
 
 
@@ -778,21 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=3, help="graph: edges")
     p.add_argument("--k", type=int, default=2, help="kis: independent set size")
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("bench", help="time match on seeded instances")
-    p.add_argument(
-        "--algo",
-        default="reglen",
-        choices=["length", "regular", "reglen"],
-        help="constraint class of the instance gaps",
-    )
-    p.add_argument("--sizes", required=True, help="comma-separated word lengths")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--k", type=int, default=3, help="pattern length")
-    p.add_argument("--states", type=int, default=2, help="dfa states per constraint")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", help="write rows to this csv file")
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

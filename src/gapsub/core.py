@@ -319,16 +319,6 @@ class GappedSequence:
     def __len__(self) -> int:
         return len(self.pattern)
 
-    @property
-    def states(self) -> int:
-        """Total DFA states over the non-zero constraints.
-
-        A purely length-based constraint counts 1 state (its implicit
-        accept-everything automaton).
-        """
-        dfas = [constraint_dfa(c) for c in self.constraints if not is_zero_gap(c)]
-        return sum(1 if dfa is None else dfa.num_states for dfa in dfas)
-
 
 @dataclass(frozen=True)
 class Embedding:

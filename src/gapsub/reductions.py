@@ -299,7 +299,13 @@ def random_graph(num_vertices: int, num_edges: int, seed: int) -> Graph:
         for v in range(u + 1, num_vertices + 1)
     ]
     rng.shuffle(pairs)
-    return Graph(num_vertices, tuple(pairs[: min(num_edges, len(pairs))]))
+    # Graph checks the vertex count, so a bad one is named before the edges
+    graph = Graph(num_vertices, tuple(pairs[:num_edges]))
+    if num_edges > len(pairs):
+        raise InputError(
+            f"edge count {num_edges} exceeds {len(pairs)}, the vertex pairs of {num_vertices} vertices"
+        )
+    return graph
 
 
 # ---------------------------------------------------------------------------

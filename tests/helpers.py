@@ -115,6 +115,47 @@ def plain_subsequence_set(w: Word, k: int) -> frozenset[tuple[int, ...]]:
     return frozenset(itertools.combinations(w.symbols, k))
 
 
+def arch_universality(w: Word, sigma: int, k: int) -> tuple[bool, Optional[tuple[int, ...]], int]:
+    """Free-gap universality from arch counts, in O(|w| * sigma + k * sigma):
+    (decision, least absent string of length k or None, its rank in
+    lexicographic order, or sigma**k when universal).
+
+    An arch holds every symbol; w is r-universal exactly when it has r
+    arches (Hebrard 1991; Barker et al., DLT 2020).  Greedy from the right,
+    arches[i] counts the arches inside w[i:].  The least absent string
+    takes, at each step, the least symbol whose next occurrence is missing
+    or leaves a suffix with too few arches for the rest (Kosche, Koss,
+    Manea & Siemer, RP 2021)."""
+    syms = w.symbols
+    n = len(syms)
+    arches = [0] * (n + 1)
+    seen: set[int] = set()
+    for i in range(n - 1, -1, -1):
+        seen.add(syms[i])
+        arches[i] = arches[i + 1]
+        if len(seen) == sigma:
+            arches[i] += 1
+            seen = set()
+    if arches[0] >= k:
+        return True, None, sigma**k
+    # nxt[i][a]: first position >= i holding a, or n when a does not occur
+    nxt = [[n] * (sigma + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        nxt[i] = nxt[i + 1][:]
+        nxt[i][syms[i]] = i
+    witness: list[int] = []
+    i = 0
+    for r in range(k, 0, -1):
+        a = next(a for a in range(1, sigma + 1) if nxt[i][a] == n or arches[nxt[i][a] + 1] < r - 1)
+        witness.append(a)
+        if nxt[i][a] == n:
+            witness += [1] * (r - 1)
+            break
+        i = nxt[i][a] + 1
+    rank = sum((a - 1) * sigma ** (k - 1 - d) for d, a in enumerate(witness)) + 1
+    return False, tuple(witness), rank
+
+
 def random_dfa(rng: random.Random, states: int, sigma: int) -> Dfa:
     table = tuple(
         tuple(rng.randrange(states) for _ in range(sigma)) for _ in range(states)
@@ -130,6 +171,23 @@ def permutation_dfa(rng: random.Random, states: int, sigma: int) -> Dfa:
     table = tuple(tuple(perm[q] for perm in perms) for q in range(states))
     finals = frozenset(q for q in range(states) if rng.random() < 0.5)
     return Dfa(states, rng.randrange(states), finals, table)
+
+
+def reglen_instance(n: int, k: int, states: int, seed: int) -> tuple[Word, GappedSequence]:
+    """Seeded binary instance built to match, for timing the windowed DFA
+    step: k - 1 gaps RegLenGap(4, 64, D), each D a random `states`-state DFA
+    with every state final (so every gap holds, yet traces stay full-size).
+    Pattern and constraints depend only on (seed, k, states), the word only
+    on (seed, n): instances in a size sweep share one shape."""
+    shape = random.Random(f"shape:{seed}:{k}:{states}:reglen")
+    p = tuple(shape.randint(1, 2) for _ in range(k))
+    cons = []
+    for _ in range(k - 1):
+        table = tuple(tuple(shape.randrange(states) for _ in range(2)) for _ in range(states))
+        cons.append(RegLenGap(4, 64, Dfa(states, 0, frozenset(range(states)), table)))
+    word = random.Random(f"word:{seed}:{n}")
+    syms = tuple(word.randint(1, 2) for _ in range(n))
+    return Word(syms), GappedSequence(Word(p), tuple(cons))
 
 
 def random_constraint(

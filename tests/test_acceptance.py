@@ -6,7 +6,8 @@ exactly, every matcher agrees with the reference matcher on large random and
 exhaustive input grids, the hardness reduction chains agree with brute-force
 solvers of the source problems, multiplicity comparison is exact beyond
 machine-word sizes, its basis work is bounded per layer and its spreads
-polynomially, it gives the known answers on Thue-Morse pairs, the tuned matcher
+polynomially, it gives the known answers on Thue-Morse pairs, universality
+gives the known answers of arch counts, the tuned matcher
 scales near-linearly in both word length and automaton size, classical
 containment agrees with plain enumeration, and oversized analyses fail loudly
 instead of truncating.
@@ -28,11 +29,13 @@ import pytest
 
 from helpers import (
     all_words,
+    arch_universality,
     brute_embeddings,
     brute_lang_k,
     brute_parikh,
     plain_subsequence_set,
     random_instance,
+    reglen_instance,
 )
 
 from gapsub import (
@@ -77,7 +80,7 @@ from gapsub import (
     verify_embedding,
 )
 from gapsub import multiplicity
-from gapsub.cli import bench_instance, bench_match, run_cli
+from gapsub.cli import run_cli
 from gapsub.matchers import GapStep, match_naive
 
 FREE = LengthGap(0, INF)
@@ -143,7 +146,7 @@ def test_readme_cli_transcript(tmp_path, monkeypatch, capsys):
         command, *argv = shlex.split(line[2:])
         if command == "cat":
             (tmp_path / argv[0]).write_text("\n".join(want) + "\n")
-        elif argv[0] != "bench":  # bench prints timings
+        else:
             assert command == "gapsub"
             run_cli(argv)
             assert capsys.readouterr().out.splitlines() == want, line
@@ -492,6 +495,49 @@ def test_thue_morse_multiplicity_known_answers():
     print(f"pass: Thue-Morse pairs at n = 128, 256 equivalent at k = m, not at m + 1, in {dt:.1f}s")
 
 
+def test_arch_universality_known_answers():
+    # under free gaps w is k-universal exactly when it has k arches (factors
+    # holding every symbol), and the least absent string follows greedily
+    # from suffix arch counts, so decision, witness and candidates_checked
+    # are known on words far past brute force
+    t0 = time.perf_counter()
+    ab = Alphabet.from_glyphs("ab")
+    w = ab.word("aaabaaabaaabba")  # four arches
+    rep = universality(w, (FREE,) * 3, ab)
+    assert (rep.decision, rep.witness, rep.candidates_checked) == (True, None, 16)
+    rep = universality(w, (FREE,) * 4, ab)
+    assert (rep.decision, rep.witness, rep.candidates_checked) == (False, ab.word("bbbaa"), 29)
+
+    rng = random.Random(12)
+    checked = longest = 0
+    for sigma, arches in ((2, 18), (3, 10), (4, 8)):
+        for _ in range(3):
+            # an arch ends at the first occurrence of its last symbol; the
+            # tail lacks one symbol, so it holds no further arch
+            syms = []
+            for _ in range(arches):
+                last = rng.randint(1, sigma)
+                body = [a for a in range(1, sigma + 1) if a != last]
+                body += rng.choices(body, k=rng.randint(0, 8))
+                rng.shuffle(body)
+                syms += body + [last]
+            lacking = rng.randint(1, sigma)
+            present = [a for a in range(1, sigma + 1) if a != lacking]
+            syms += rng.choices(present, k=rng.randint(0, 8))
+            w = Word(tuple(syms))
+            longest = max(longest, len(w))
+            for k in range(arches - 1, arches + 3):
+                rep = universality(w, (FREE,) * (k - 1), Alphabet(sigma))
+                decision, witness, rank = arch_universality(w, sigma, k)
+                assert rep.decision == decision == (k <= arches), (sigma, k)
+                assert rep.witness == (None if witness is None else Word(witness)), (sigma, k)
+                assert rep.candidates_checked == rank, (sigma, k)
+                checked += 1
+    dt = time.perf_counter() - t0
+    assert dt < 10.0
+    print(f"pass: {checked} arch-built universality answers (n up to {longest}) in {dt:.2f}s")
+
+
 def _round_robin_medians(instances, trials: int) -> list[float]:
     """Median ns of match per instance: an untimed warm-up each, then
     trials rounds over every instance with the garbage collector off, so a
@@ -514,18 +560,17 @@ def _round_robin_medians(instances, trials: int) -> list[float]:
 def test_reglen_runtime_scales_near_linearly():
     t0 = time.perf_counter()
     sizes = [10_000, 20_000, 40_000, 80_000]
-    rows = bench_match("reglen", sizes, trials=5, k=3, states=3, seed=11)
-    times = [row["mean_ns"] for row in rows]
+    times = _round_robin_medians([reglen_instance(n, 3, 3, 11) for n in sizes], trials=5)
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     assert all(r <= 2.6 for r in ratios), ratios
 
     # the 2-state baseline is timed in the same round-robin loop as the
     # 4- to 64-state rows, so host drift does not move their ratio
-    instances = [bench_instance(20_000, 3, s, "reglen", 0) for s in (2, 4, 8, 16, 32, 64)]
-    medians = _round_robin_medians(instances, trials=3)
-    base_per_state, *per_state = (t / gs.states for t, (_, gs) in zip(medians, instances))
-    for (_, gs), cost in zip(instances[1:], per_state):
-        assert cost <= 1.3 * base_per_state, (gs.states, cost, base_per_state)
+    states = (2, 4, 8, 16, 32, 64)
+    medians = _round_robin_medians([reglen_instance(20_000, 3, s, 0) for s in states], trials=3)
+    base_per_state, *per_state = (t / s for t, s in zip(medians, states))
+    for s, cost in zip(states[1:], per_state):
+        assert cost <= 1.3 * base_per_state, (s, cost, base_per_state)
     dt = time.perf_counter() - t0
     print(
         "pass: doubling ratios "

@@ -135,18 +135,6 @@ def test_gapped_sequence_shape():
         GappedSequence(w("a"), (ZeroGap(),))
 
 
-def test_measures_count_nonzero_constraints():
-    star2 = sigma_star_dfa(2)
-    gs = GappedSequence(
-        w("abca"),
-        (ZeroGap(), LengthGap(0, 0), RegLenGap(1, 2, star2)),
-    )
-    # only the reg-len gap is non-zero; sigma-star has one state
-    assert gs.states == 1
-    gs2 = GappedSequence(w("ab"), (LengthGap(1, 4),))
-    assert gs2.states == 1
-
-
 def test_verify_embedding_worked_examples():
     word = w("abacbba")
     free = GappedSequence(w("aaa"), (LengthGap(0, INF), LengthGap(0, INF)))

@@ -112,6 +112,16 @@ def test_random_generators_refuse_negative_counts():
     assert random_cnf(3, 0, 7).clauses == ()
 
 
+def test_random_graph_refuses_more_edges_than_vertex_pairs():
+    # more edges than pairs was once capped silently at the pair count
+    with pytest.raises(InputError, match="edge count 10 exceeds 3, the vertex pairs of 3 vertices"):
+        random_graph(3, 10, 7)
+    with pytest.raises(InputError, match="need at least one vertex"):
+        random_graph(0, 3, 7)
+    complete = random_graph(4, 6, 7)
+    assert all(complete.adjacent(u, v) for u in range(1, 5) for v in range(1, 5))
+
+
 # ---------------------------------------------------------------------------
 # orthogonal vectors as matching
 
