@@ -50,7 +50,7 @@ from .core import (
     check_budget,
     normalize_constraints,
 )
-from .matchers import gap_steps, position_masks
+from .matchers import gap_steps
 
 # Frontier bits the memo of one search may hold (8 MiB of masks); past
 # this the search inserts nothing more and runs on with what it has.
@@ -67,12 +67,14 @@ class AnalysisReport:
 
 class _WordFrontier:
     """Frontier arithmetic for one word under normalized constraints: one
-    GapStep per distinct constraint, shared by the gaps that have it."""
+    GapStep per distinct constraint, shared by the gaps that have it, and
+    the position masks from the Word's index (Word.position_masks)."""
 
-    def __init__(self, syms: tuple[int, ...], gc: NormalizedConstraints, sigma: int):
-        masks = position_masks(syms, range(1, sigma + 1))
+    def __init__(self, w: Word, gc: NormalizedConstraints, sigma: int):
+        masks = w.position_masks
+        masks.fill(range(1, sigma + 1))
         self.posmask = [0] + [masks[a] for a in range(1, sigma + 1)]
-        self.steps = gap_steps(syms, gc.constraints, masks)
+        self.steps = gap_steps(w, gc.constraints)
         self.dead = gc.infeasible
         self.spreads = 0
 
@@ -181,7 +183,7 @@ def universality(
     gc = _prepare(w, gc, alphabet, budget)
     sigma = alphabet.size
     k = len(gc.constraints) + 1
-    return _search(_AllStrings(sigma), _WordFrontier(w.symbols, gc, sigma), sigma, k)
+    return _search(_AllStrings(sigma), _WordFrontier(w, gc, sigma), sigma, k)
 
 
 def containment(
@@ -205,8 +207,8 @@ def containment(
     gcr = _prepare(w2, gc, alphabet, budget)
     sigma = alphabet.size
     k = len(gcl.constraints) + 1
-    left = _WordFrontier(w.symbols, gcl, sigma)
-    right = _WordFrontier(w2.symbols, gcr, sigma)
+    left = _WordFrontier(w, gcl, sigma)
+    right = _WordFrontier(w2, gcr, sigma)
     return _search(left, right, sigma, k)
 
 

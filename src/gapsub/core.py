@@ -20,6 +20,7 @@ the session alphabet.  The gap engines index its table without checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -100,14 +101,82 @@ class Alphabet:
         return Word(syms)
 
     def validate_word(self, w: "Word") -> None:
-        for s in w.symbols:
-            if not 1 <= s <= self.size:
-                raise InputError(f"symbol id {s} outside alphabet 1..{self.size}")
+        """Raise InputError naming the first symbol of w past 1..size.  A
+        Word's ids are at least 1, so C-level passes over its index decide
+        (_PositionMasks.within); the loop runs only to name the offender."""
+        if not w.position_masks.within(self.size):
+            bad = next(s for s in w.symbols if s > self.size)
+            raise InputError(f"symbol id {bad} outside alphabet 1..{self.size}")
+
+
+class _PositionMasks(dict):
+    """The index of one word, by symbol: self[a] is the mask of the positions
+    (1-based) holding a, built on its first lookup.
+
+    The word's byte form, last symbol first, is built on first use and
+    serves every mask, with one C-level translate per symbol, and the
+    alphabet checks (within); it is None when an id is past a byte, and
+    the masks are then set position by position.  So the index holds at
+    most one n-byte form and one (n+1)-bit mask per symbol looked up."""
+
+    __slots__ = ("syms", "_top_first")
+
+    def __init__(self, syms: tuple[int, ...]) -> None:
+        super().__init__()
+        self.syms = syms
+        self._top_first: Optional[bytes] | bool = False  # False: not built yet
+
+    def top_first(self) -> Optional[bytes]:
+        if self._top_first is False:
+            try:
+                self._top_first = bytes(self.syms)[::-1]
+            except ValueError:
+                self._top_first = None
+        return self._top_first
+
+    def within(self, top: int) -> bool:
+        """Whether no id of the word exceeds top: one C-level delete over the
+        byte form, or one C-level max when the word has none."""
+        raw = self.top_first()
+        if raw is None:
+            return max(self.syms) <= top
+        return top >= 255 or not raw.translate(None, bytes(range(top + 1)))
+
+    def fill(self, wanted: Iterable[int]) -> None:
+        """Build the masks of the symbols of wanted that are not built yet."""
+        missing = {a for a in wanted if a not in self}
+        if not missing:
+            return
+        raw = self.top_first()
+        if raw is None:  # one pass over the word for all of them
+            bufs = {a: bytearray(len(self.syms) // 8 + 2) for a in missing}
+            for i, a in enumerate(self.syms, start=1):
+                b = bufs.get(a)
+                if b is not None:
+                    b[i >> 3] |= 1 << (i & 7)
+            self.update((a, int.from_bytes(b, "little")) for a, b in bufs.items())
+            return
+        for a in missing:
+            table = bytearray(b"0" * 256)
+            if a < 256:
+                table[a] = ord("1")
+            self[a] = int(raw.translate(table) or b"0", 2) << 1
+
+    def __missing__(self, a: int) -> int:
+        self.fill((a,))
+        return self[a]
 
 
 @dataclass(frozen=True)
 class Word:
-    """Immutable sequence of symbol ids (1..sigma)."""
+    """Immutable sequence of symbol ids (1..sigma).
+
+    A Word indexes itself on the first call that needs it (position_masks)
+    and keeps the index: calls that reuse one Word skip that work, and a
+    one-shot call on a fresh Word costs what building the index always
+    cost.  The index holds at most one n-byte form of the word and one
+    (n+1)-bit mask per symbol looked up.  Equality, hash, repr, copies and
+    pickles see the symbols alone."""
 
     symbols: tuple[int, ...]
 
@@ -134,6 +203,18 @@ class Word:
     def factor(self, start: int, end: int) -> "Word":
         """Factor at 1-based closed positions start..end (empty when start > end)."""
         return Word(self.symbols[start - 1 : end])
+
+    @cached_property
+    def position_masks(self) -> _PositionMasks:
+        """The word's index (see _PositionMasks), shared by every matcher,
+        analysis and counting call on this Word object."""
+        return _PositionMasks(self.symbols)
+
+    def __getstate__(self) -> dict:
+        # copies and pickles hold the symbols alone, as before the index
+        # existed: a copy builds its own index, and no pickle names
+        # _PositionMasks or carries n bytes of cache
+        return {"symbols": self.symbols}
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ gap satisfied, follows from D[t-1] through one gap step:
 
     D[t] = (step.reach(D[t-1]) << (len(block t) - 1)) & ends(block t)
 
+Every position mask comes from one position-mask table per Word object,
+the index Word.position_masks: built on the first call that needs it and
+kept, so calls that reuse one Word skip that work, and a one-shot call on
+a fresh Word builds what it did before.  The index holds at most one
+n-byte form of the word and one (n+1)-bit mask per symbol looked up.  The
+memos of a GapStep stay per step.
+
 gap_steps builds one GapStep per distinct constraint of a word (one
 window and one DFA object), which every gap with that constraint shares
 with its memos and tables; a step picks its case from the constraint alone:
@@ -315,80 +322,20 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class _PositionMasks(dict):
-    """The position masks of one word, by symbol: self[a] is the mask of the
-    positions (1-based) holding a, built on its first lookup.
-
-    The word's byte form, last symbol first, is built on first use and
-    serves every mask, with one C-level translate per symbol, and the DFA
-    coverage check (_dfa_sigma); it is None when an id is past a byte, and
-    the masks are then set position by position."""
-
-    __slots__ = ("syms", "_top_first")
-
-    def __init__(self, syms: tuple[int, ...]) -> None:
-        super().__init__()
-        self.syms = syms
-        self._top_first: Optional[bytes] | bool = False  # False: not built yet
-
-    def top_first(self) -> Optional[bytes]:
-        if self._top_first is False:
-            try:
-                self._top_first = bytes(self.syms)[::-1]
-            except ValueError:
-                self._top_first = None
-        return self._top_first
-
-    def fill(self, wanted: Iterable[int]) -> None:
-        """Build the masks of the symbols of wanted that are not built yet."""
-        missing = {a for a in wanted if a not in self}
-        if not missing:
-            return
-        raw = self.top_first()
-        if raw is None:  # one pass over the word for all of them
-            bufs = {a: bytearray(len(self.syms) // 8 + 2) for a in missing}
-            for i, a in enumerate(self.syms, start=1):
-                b = bufs.get(a)
-                if b is not None:
-                    b[i >> 3] |= 1 << (i & 7)
-            self.update((a, int.from_bytes(b, "little")) for a, b in bufs.items())
-            return
-        for a in missing:
-            table = bytearray(b"0" * 256)
-            if a < 256:
-                table[a] = ord("1")
-            self[a] = int(raw.translate(table) or b"0", 2) << 1
-
-    def __missing__(self, a: int) -> int:
-        self.fill((a,))
-        return self[a]
-
-
-def position_masks(syms: tuple[int, ...], wanted: Iterable[int]) -> _PositionMasks:
-    """Mask of the positions (1-based) holding symbol a, for each a in wanted;
-    other symbols' masks are built when first looked up."""
-    masks = _PositionMasks(syms)
-    masks.fill(wanted)
-    return masks
-
-
-def _dfa_sigma(masks: _PositionMasks, constraints: Iterable) -> int:
+def _dfa_sigma(w: Word, constraints: Iterable) -> int:
     """The alphabet size to normalize the constraints against.
 
     Only a DFA needs its symbols to cover the word's, so without one this
     is 0 and the word is not read.  Otherwise it is the fewest symbols of
-    any DFA when the word's byte form holds no larger id, decided by one
-    C-level delete, and the word's largest id, which normalize refuses with
-    its usual message, when it does or the word has no byte form."""
+    any DFA when the word holds no larger id, decided by C-level passes
+    over its index (_PositionMasks.within), and the word's largest id,
+    which normalize refuses with its usual message, when it does."""
     distinct = {id(c): c for c in constraints}.values()
     dfas = {id(d): d for d in map(constraint_dfa, distinct) if d is not None}
     if not dfas:
         return 0
     need = min(d.num_symbols for d in dfas.values())
-    raw = masks.top_first()
-    if raw is not None and (need >= 255 or not raw.translate(None, bytes(range(need + 1)))):
-        return need
-    return max(masks.syms, default=0)
+    return need if w.position_masks.within(need) else max(w.symbols)
 
 
 def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
@@ -402,7 +349,7 @@ def match_naive(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     if len(gs.pattern) == 0:
         return Embedding(())
     syms = w.symbols
-    gs, infeasible = normalize(gs, len(w), _dfa_sigma(_PositionMasks(syms), gs.constraints))
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(w, gs.constraints))
     if infeasible:
         return None
     n = len(syms)
@@ -531,8 +478,8 @@ class GapStep:
     states <= 4 * symbols and 2 * states**2 <= (hi - 4b) * symbols, else 1,
     so that the block tables are built only where they pay on one call.
     Its tables are built on its first call, from posmask: the word's
-    position masks by symbol (_PositionMasks), which it completes in
-    place, so steps that share one dict build each symbol's mask once.
+    index (Word.position_masks), which it completes in place, so every
+    step and every call on one Word builds each symbol's mask once.
     Beside the one-symbol masks (into, at most states * symbols masks of
     n+1 bits), b > 1 adds at most states**2 block masks and (b-1) * states
     end masks; under the rule's states <= 4 * symbols that is at most
@@ -549,9 +496,9 @@ class GapStep:
     word from R alone.
     """
 
-    def __init__(self, syms: tuple[int, ...], c, posmask: Optional[_PositionMasks] = None) -> None:
-        self.syms = syms
-        self.n = n = len(syms)
+    def __init__(self, w: Word, c) -> None:
+        self.syms = w.symbols
+        self.n = n = len(w)
         self.full = (1 << (n + 1)) - 2
         self.lo, self.hi = constraint_window(c, n)
         self.dfa = dfa = constraint_dfa(c)
@@ -569,7 +516,7 @@ class GapStep:
             and 2 * states * states <= (self.hi - 4 * _BLOCK_SYMBOLS) * symbols
             else 1
         )
-        self.posmask = _PositionMasks(syms) if posmask is None else posmask
+        self.posmask = w.position_masks
         # the tables of _bit_sweep, built on its first call
         self.into: Optional[list[tuple[int, tuple[tuple[int, int], ...]]]] = None
         self.blocks: list[tuple[int, tuple[tuple[int, int], ...]]] = []
@@ -922,10 +869,8 @@ class GapStep:
         return best
 
 
-def gap_steps(
-    syms: tuple[int, ...], constraints: Iterable, posmask: Optional[_PositionMasks] = None
-) -> list[GapStep]:
-    """One GapStep per constraint of the word syms, built once per distinct
+def gap_steps(w: Word, constraints: Iterable) -> list[GapStep]:
+    """One GapStep per constraint of the word w, built once per distinct
     constraint: gaps with the same window and the same DFA object share one
     step, with its memos and tables.  The DFA is keyed by identity, since
     hashing a Dfa hashes its whole table.  A step is looked up by the
@@ -933,9 +878,8 @@ def gap_steps(
     distinct constraint, so a repeated gap costs one dict lookup, and only
     a new object has its window computed.  Equal constraints held in
     distinct objects still share a step through the window key.  The steps
-    share posmask (see GapStep), one dict when none is given."""
-    n = len(syms)
-    posmask = _PositionMasks(syms) if posmask is None else posmask
+    share w's position masks (see GapStep)."""
+    n = len(w)
     built: dict[tuple[tuple[int, int], int], GapStep] = {}
     by_object: dict[int, GapStep] = {}
     steps = []
@@ -945,7 +889,7 @@ def gap_steps(
             key = (constraint_window(c, n), id(constraint_dfa(c)))
             step = built.get(key)
             if step is None:
-                step = built[key] = GapStep(syms, c, posmask)
+                step = built[key] = GapStep(w, c)
             by_object[id(c)] = step
         steps.append(step)
     return steps
@@ -960,9 +904,8 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
     """
     if len(gs.pattern) == 0:
         return Embedding(())
-    syms = w.symbols
-    posmask = _PositionMasks(syms)
-    gs, infeasible = normalize(gs, len(w), _dfa_sigma(posmask, gs.constraints))
+    posmask = w.position_masks
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(w, gs.constraints))
     if infeasible:
         return None
     blocks, joints = pattern_blocks(gs)
@@ -977,7 +920,7 @@ def match(w: Word, gs: GappedSequence) -> Optional[Embedding]:
             block_ends[block] = e
     ends = [block_ends[block] for block in blocks]
     D = [ends[0]]
-    steps = gap_steps(syms, joints, posmask)
+    steps = gap_steps(w, joints)
     for t, step in enumerate(steps):
         if not D[t]:
             return None
@@ -1116,8 +1059,8 @@ def match_with_equalities(
     every class fixed to its length, from match_naive, which is no slower
     than match on these length-only leaves.
     """
-    posmask = _PositionMasks(w.symbols)
-    gs, infeasible = normalize(gs, len(w), _dfa_sigma(posmask, gs.constraints))
+    posmask = w.position_masks
+    gs, infeasible = normalize(gs, len(w), _dfa_sigma(w, gs.constraints))
     for c in gs.constraints:
         if not isinstance(c, (ZeroGap, LengthGap)):
             raise UsageError("equality matching handles zero and length constraints only")

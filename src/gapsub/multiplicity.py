@@ -146,7 +146,7 @@ class CountingNfa:
         self.word = word
         self.num_symbols = num_symbols
         self.k = len(constraints) + 1
-        self.steps = gap_steps(word.symbols, constraints)
+        self.steps = gap_steps(word, constraints)
         self.initial = (0, 0)
         n = len(word)
         # per layer j, the most positions one position of layer j reaches:

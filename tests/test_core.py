@@ -61,6 +61,26 @@ def test_word_validation():
         Alphabet(2).validate_word(Word((3,)))
 
 
+def test_validate_word_names_the_first_offending_symbol():
+    # C-level passes over the word's index decide; the message still names
+    # the first symbol past the alphabet in word order, not the largest
+    with pytest.raises(InputError, match=r"symbol id 3 outside alphabet 1\.\.2$"):
+        Alphabet(2).validate_word(Word((1, 3, 5)))
+    with pytest.raises(InputError, match=r"symbol id 255 outside alphabet 1\.\.254$"):
+        Alphabet(254).validate_word(Word((1, 255, 2)))
+    # ids past a byte: the word has no byte form
+    with pytest.raises(InputError, match=r"symbol id 300 outside alphabet 1\.\.256$"):
+        Alphabet(256).validate_word(Word((1, 300, 257, 900)))
+    fits = [(1, ()), (2, (2, 1, 2)), (255, (255, 1)), (256, (256, 3)), (300, (255,)), (900, (1, 900))]
+    for size, syms in fits:
+        Alphabet(size).validate_word(Word(syms))
+    # one Word against two alphabets: its index serves both checks
+    word = Word((1, 3, 5))
+    Alphabet(5).validate_word(word)
+    with pytest.raises(InputError, match="symbol id 5 outside alphabet 1..4"):
+        Alphabet(4).validate_word(word)
+
+
 def test_word_factor_is_one_based_inclusive():
     word = w("abcab")
     assert word.factor(2, 4).symbols == w("bca").symbols

@@ -4,8 +4,10 @@ import inspect
 import itertools
 import math
 import operator
+import pickle
 import random
 import sys
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,13 @@ from gapsub import (
     Word,
     ZeroGap,
     build_counting_nfa,
+    containment,
+    count_embeddings,
+    equivalence,
     match,
     match_naive,
     match_with_equalities,
+    parikh_k,
     sigma_star_dfa,
     universality,
     verify_embedding,
@@ -116,7 +122,7 @@ def test_equal_gaps_share_one_step(monkeypatch):
         RegularGap(dfa), RegLenGap(0, 40, dfa), RegularGap(copy), RegLenGap(1, 5, dfa),
         LengthGap(1, 5), LengthGap(1, 5), LengthGap(1, 6), ZeroGap(), LengthGap(0, 0),
     ]
-    steps = matchers.gap_steps(word.symbols, gaps)
+    steps = matchers.gap_steps(word, gaps)
     assert [steps.index(step) for step in steps] == [0, 0, 2, 3, 4, 4, 6, 7, 7]
 
 
@@ -143,7 +149,7 @@ def test_ov_instance_works_per_distinct_constraint(seed, monkeypatch):
     assert text.count("\n") == 1150
     _, parsed = parse_constraints_text(text)
     assert len({id(c) for c in parsed}) == 5
-    steps = matchers.gap_steps(word.symbols, norm.constraints)
+    steps = matchers.gap_steps(word, norm.constraints)
     assert len({id(step) for step in steps}) == 5
     naive = match_naive(word, GappedSequence(gs.pattern, parsed))
     windows = []
@@ -176,7 +182,7 @@ def test_equal_dfas_stay_apart_and_are_never_hashed(monkeypatch):
     word = Word(tuple(random.Random(5).randint(1, 2) for _ in range(30)))
     gaps = [RegLenGap(1, 4, dfa), RegLenGap(1, 4, copy), RegularGap(dfa), RegularGap(copy)] * 5
     norm = normalize_constraints(gaps, len(word), 2)
-    steps = matchers.gap_steps(word.symbols, norm.constraints)
+    steps = matchers.gap_steps(word, norm.constraints)
     assert len({id(step) for step in steps}) == 4
     assert steps[:4] == steps[4:8]
     gs = GappedSequence(Word((1,) * (len(gaps) + 1)), tuple(gaps))
@@ -225,7 +231,7 @@ def test_match_dispatcher_picks_an_algorithm():
         (RegLenGap(0, 4, star), True),
     ]
     for c, windowed in cases:
-        step = GapStep(word.symbols, c)
+        step = GapStep(word, c)
         assert (step.dfa is None) == (windowed is None)
         if windowed is not None:
             assert step.windowed == windowed
@@ -255,7 +261,7 @@ def windowed_engine(max_cost, block=None):
 
 def forced_step(syms, c, max_cost, block=None) -> GapStep:
     with windowed_engine(max_cost, block):
-        step = GapStep(syms, c)
+        step = GapStep(Word(syms), c)
     assert step.bit_parallel == (step.windowed and max_cost > 0)
     assert step.block in (1, block or matchers._BLOCK_SYMBOLS)
     assert step.bit_parallel or step.block == 1
@@ -447,7 +453,7 @@ def test_vacuous_sweep_fixpoint_exit_matches_quadratic_reference():
         settled = _permuted_reachable(dfa)
         if kind != "random":
             assert (settled != -1) == (kind == "permutation")
-        step = GapStep(syms, RegularGap(dfa))
+        step = GapStep(Word(syms), RegularGap(dfa))
         dense = sum(1 << j for j in range(n + 1) if rng.random() < 0.5)
         spread = sum(1 << j for j in range(0, n + 1, rng.randint(10, 60)))
         for mask in [dense, spread, 1 << rng.randint(1, n), 1 << 0]:
@@ -499,7 +505,7 @@ def test_reach_counts_matches_quadratic_reference(data):
         "reglen": RegLenGap(lo, hi, dfa),
     }[kind]
     vec = [rng.choice((0, 0, 1, 3, 2**64 + rng.randint(1, 2**70))) for _ in range(n + 1)]
-    step = GapStep(syms, c)
+    step = GapStep(Word(syms), c)
     # the drawn vector, every single start (the windowed sweep stops after
     # the last start's window) and both ends (its traces reset in between)
     singles = [[0] * j + [vec[j] or 1] + [0] * (n - j) for j in range(n + 1)]
@@ -544,7 +550,7 @@ def test_reach_counts_batch_equals_each_vector_alone(data):
     with pytest.MonkeyPatch.context() as mp:
         if kind == "window":  # every cost passes the bound: the trace sweep
             mp.setattr(matchers, "_BIT_PARALLEL_MAX_COST", -1)
-        step = GapStep(syms, c)
+        step = GapStep(Word(syms), c)
     if kind in ("bit", "window"):
         assert step.bit_parallel == (kind == "bit")
     m = data.draw(st.integers(1, 5))
@@ -605,7 +611,7 @@ def test_unbounded_length_gap_reach_saturates_exactly():
         sigma = rng.randint(1, 3)
         syms = tuple(rng.randint(1, sigma) for _ in range(n))
         lo = rng.randint(0, n + 2)
-        step = GapStep(syms, LengthGap(lo, INF))
+        step = GapStep(Word(syms), LengthGap(lo, INF))
         density = rng.choice((0.05, 0.3, 0.9))
         mask = sum(1 << j for j in range(n + 1) if rng.random() < density)
         want = sum(1 << i for i in range(1, n + 1) if any(mask >> j & 1 for j in range(i - lo)))
@@ -957,9 +963,74 @@ def test_dfa_coverage_refusal_names_the_largest_symbol():
     word, gs = Word((300, 1, 257)), GappedSequence(Word((300, 257)), (LengthGap(0, 2),))
     for fn in (match, match_naive, lambda x, y: match_with_equalities(x, y, free)):
         assert fn(word, gs) == Embedding((1, 3))
-    masks = matchers._PositionMasks(word.symbols)
-    assert matchers._dfa_sigma(masks, gs.constraints) == 0
-    assert masks._top_first is False
+    fresh = Word(word.symbols)
+    assert matchers._dfa_sigma(fresh, gs.constraints) == 0
+    assert fresh.position_masks._top_first is False
+
+
+def test_one_word_answers_every_call_as_a_fresh_word_does():
+    # one Word reused across patterns, constraint kinds, windowed engines
+    # and entry points answers every call as a fresh Word with equal
+    # symbols does: the index it builds on first use is shared by every
+    # call and never stale
+    rng = random.Random("shared-index")
+    words = [
+        (),
+        tuple(rng.randint(1, 3) for _ in range(240)),
+        tuple(rng.choice((1, 2, 256, 300)) for _ in range(120)),  # ids past a byte
+    ]
+    for syms in words:
+        shared = Word(syms)
+        sigma = max(syms, default=1)
+        alphabet = Alphabet(sigma)
+        letters = sorted(set(syms)) or [1]
+        wide = random_dfa(rng, 3, sigma + 2)  # more symbols than the word has
+        group = permutation_dfa(rng, 2, sigma)
+        gaps = [
+            LengthGap(1, 9), LengthGap(0, INF), RegularGap(wide), RegularGap(group),
+            RegLenGap(2, 30, wide), RegLenGap(1, 25, group),
+        ]
+        calls = []
+        for c in gaps:
+            for _ in range(2):
+                gs = GappedSequence(Word(tuple(rng.choice(letters) for _ in range(3))), (c, c))
+                # match through the trace sweep, and b = 1 and b = BLOCK
+                calls += [(path, functools.partial(match, gs=gs)) for path in PATHS]
+                calls += [
+                    (None, functools.partial(match_naive, gs=gs)),
+                    (None, functools.partial(count_embeddings, gs=gs)),
+                ]
+        free = GappedSequence(Word((letters[0], letters[-1], letters[0])), FREE2)
+        eq = EqualitySystem.from_pairs([(1, 2)])
+        calls.append((None, lambda word: match_with_equalities(word, free, eq)))
+        other = Word(syms[::-1])
+        for gc in ([LengthGap(0, 4)], [RegLenGap(1, 20, wide)], [RegularGap(group)] * 2):
+            if sigma ** (len(gc) + 1) > 10**5:
+                gc = gc[:1]
+            calls += [
+                (None, lambda word, gc=gc: universality(word, gc, alphabet)),
+                (None, lambda word, gc=gc: containment(word, other, gc, alphabet)),
+                (None, lambda word, gc=gc: containment(other, word, gc, alphabet)),
+                (None, lambda word, gc=gc: equivalence(word, other, gc, alphabet)),
+            ]
+            if sigma < 256:
+                calls.append((None, lambda word, gc=gc: parikh_k(word, gc, alphabet)))
+        rng.shuffle(calls)
+        for path, call in calls:
+            with windowed_engine(*path) if path else contextlib.nullcontext():
+                assert call(shared) == call(Word(syms)), (len(syms), path, call)
+        if syms:
+            with windowed_engine(math.inf, BLOCK):
+                assert GapStep(shared, RegLenGap(2, 30, wide)).block == BLOCK
+        # the index changes neither equality, hash nor repr, and a copy
+        # carries none of it
+        assert shared == Word(syms) and hash(shared) == hash(Word(syms))
+        assert repr(shared) == repr(Word(syms)) == f"Word(symbols={syms!r})"
+        assert pickle.dumps(shared) == pickle.dumps(Word(syms))
+        gs = GappedSequence(Word((letters[-1], letters[0])), (RegLenGap(0, 30, wide),))
+        for twin in (pickle.loads(pickle.dumps(shared)), deepcopy(shared)):
+            assert twin == shared and hash(twin) == hash(shared)
+            assert match(twin, gs) == match(shared, gs) == match_naive(Word(syms), gs)
 
 
 def test_equality_matching_checks_dfa_coverage_first():

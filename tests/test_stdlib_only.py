@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import gapsub
 
@@ -32,7 +33,7 @@ def test_library_and_cli_load_only_the_standard_library():
 
 
 def _unused_imports(path):
-    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"), path)
     imported = {}
     exported = set()
     for node in ast.walk(tree):
@@ -83,7 +84,7 @@ def test_every_private_helper_in_the_package_is_used():
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py"):
             continue
-        tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read(), name)
+        tree = ast.parse(Path(pkg, name).read_text(encoding="utf-8"), name)
         defined.update(dict.fromkeys(_private_names(tree), name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -120,7 +121,7 @@ def _package_callers(callee):
     sites = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
-            tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read(), name)
+            tree = ast.parse(Path(pkg, name).read_text(encoding="utf-8"), name)
             sites.extend((name, where) for where in _callers(tree, callee))
     return sites
 
@@ -129,6 +130,12 @@ def test_gap_steps_are_built_in_one_place():
     # every GapStep comes from matchers.gap_steps, which builds one per
     # distinct constraint of a word: no caller builds one per gap
     assert _package_callers("GapStep") == [("matchers.py", "gap_steps")]
+
+
+def test_position_masks_are_built_in_one_place():
+    # a word's index is built once per Word object, by its cached
+    # property: no call builds a private copy of the masks
+    assert _package_callers("_PositionMasks") == [("core.py", "position_masks")]
 
 
 def test_counting_nfa_is_built_only_by_its_normalizing_callers():
